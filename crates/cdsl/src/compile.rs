@@ -16,6 +16,7 @@ use std::collections::BTreeMap;
 use crate::cache::ParseCache;
 use crate::error::{CdslError, ErrorKind, Result};
 use crate::interp::{Interp, Limits, Loader};
+use crate::module::ModuleStore;
 use crate::value::Value;
 
 /// Version of the compiler pipeline. Any change to compilation semantics
@@ -79,6 +80,7 @@ pub struct CompiledConfig {
 pub struct Compiler<'l> {
     loader: &'l dyn Loader,
     cache: Option<&'l ParseCache>,
+    store: Option<&'l ModuleStore>,
     limits: Limits,
     extra_validators: BTreeMap<String, Vec<String>>,
 }
@@ -89,6 +91,7 @@ impl<'l> Compiler<'l> {
         Compiler {
             loader,
             cache: None,
+            store: None,
             limits: Limits::default(),
             extra_validators: BTreeMap::new(),
         }
@@ -108,6 +111,16 @@ impl<'l> Compiler<'l> {
         self
     }
 
+    /// Shares evaluated modules through `store`: each imported module and
+    /// validator is evaluated once for all entries compiled against the
+    /// store instead of once per entry. Results are identical to compiling
+    /// without it. The store is keyed by path, so it must only serve
+    /// compiles over this loader's current contents.
+    pub fn with_module_store(mut self, store: &'l ModuleStore) -> Compiler<'l> {
+        self.store = Some(store);
+        self
+    }
+
     /// Registers an additional validator file for configs of `type_name`,
     /// beyond the `<schema>.cvalidator` convention.
     pub fn register_validator(&mut self, type_name: &str, path: &str) {
@@ -122,6 +135,9 @@ impl<'l> Compiler<'l> {
         let mut interp = Interp::new(self.loader, self.limits);
         if let Some(cache) = self.cache {
             interp = interp.with_parse_cache(cache);
+        }
+        if let Some(store) = self.store {
+            interp = interp.with_module_store(store);
         }
         interp.run_entry(entry)?;
         let value = interp.exported().cloned().ok_or_else(|| {

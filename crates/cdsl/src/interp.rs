@@ -1,11 +1,23 @@
 //! The CDSL evaluator.
 //!
 //! A config program is executed as a module graph: `import "path"` loads
-//! and runs another module once, then copies its top-level bindings into the
-//! importing scope (the paper's `import_python(path, "*")`); `schema "path"`
-//! loads Thrift-style type definitions (the paper's `import_thrift`). The
-//! set of loaded paths becomes the config's dependency list — dependencies
-//! are *extracted from source code*, never maintained by hand (§1, §3.1).
+//! and runs another module once, then binds its top-level names in the
+//! importing scope (the paper's `import_python(path, "*")`) — by linking
+//! the finished module as a lookup layer, not by copying (see
+//! [`crate::module`]); `schema "path"` loads Thrift-style type definitions
+//! (the paper's `import_thrift`). The set of loaded paths becomes the
+//! config's dependency list — dependencies are *extracted from source
+//! code*, never maintained by hand (§1, §3.1).
+//!
+//! With a [`ModuleStore`] attached, a module is evaluated once per source
+//! view rather than once per importing compile: the first importer
+//! evaluates it in isolation and publishes the frozen result, every other
+//! importer links that. A compile with the store is indistinguishable from
+//! one without — same values, dependencies, schema origins, step
+//! accounting and errors — because a module is only shared when its
+//! isolated evaluation succeeds, and only linked when replaying it provably
+//! equals executing it here; otherwise it is executed here as if there
+//! were no store.
 //!
 //! `export_if_last(value)` records the compiled config value only when the
 //! call occurs in the entry module — imported modules can share the same
@@ -20,9 +32,10 @@ use std::sync::Arc;
 
 use crate::ast::{BinOp, Expr, ExprKind, Module, Stmt, StmtKind, UnOp};
 use crate::cache::ParseCache;
-use crate::error::{CdslError, ErrorKind, Result};
+use crate::error::{CdslError, ErrorKind, Location, Result};
+use crate::module::{Effect, FrozenModule, ModuleStore, Scope, Stored};
 use crate::parser::parse;
-use crate::schema::{SchemaSet, StructDef, Type, TypeDef};
+use crate::schema::{parse_schema, SchemaSet, StructDef, Type, TypeDef};
 use crate::value::{FuncValue, StructValue, Value};
 
 /// Provides source text for config programs and schemas by path.
@@ -47,7 +60,7 @@ impl Loader for HashMap<String, String> {
 }
 
 /// Execution budgets.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Limits {
     /// Maximum number of evaluation steps.
     pub max_steps: u64,
@@ -70,7 +83,23 @@ impl Default for Limits {
     }
 }
 
-type Scope = HashMap<String, Value>;
+/// A function call's local bindings.
+type Locals = HashMap<String, Value>;
+
+/// A registered module: open while its statements run, frozen after.
+enum Slot {
+    Live { scope: Scope, effects: Vec<Effect> },
+    Done(Arc<FrozenModule>),
+}
+
+impl Slot {
+    fn open() -> Slot {
+        Slot::Live {
+            scope: Scope::default(),
+            effects: Vec::new(),
+        }
+    }
+}
 
 /// Evaluates a standalone expression with no imports and the standard
 /// builtins available. This powers the Sitevars shim, where a sitevar's
@@ -88,9 +117,8 @@ pub fn eval_expression(src: &str) -> Result<Value> {
     let expr = crate::parser::parse_expr(src, "<expr>")?;
     let loader: BTreeMap<String, String> = BTreeMap::new();
     let mut interp = Interp::new(&loader, Limits::default());
-    interp.modules.push(Scope::new());
-    interp.module_paths.push(std::sync::Arc::from("<expr>"));
-    interp.eval(&expr, 0, None)
+    let module = interp.register(Arc::from("<expr>"), Slot::open());
+    interp.eval(&expr, module, None)
 }
 
 enum Flow {
@@ -102,16 +130,24 @@ enum Flow {
 pub struct Interp<'l> {
     loader: &'l dyn Loader,
     cache: Option<&'l ParseCache>,
+    store: Option<&'l ModuleStore>,
     limits: Limits,
     schemas: SchemaSet,
-    modules: Vec<Scope>,
+    modules: Vec<Slot>,
     module_paths: Vec<Arc<str>>,
-    module_ids: HashMap<String, usize>,
+    module_ids: HashMap<Arc<str>, usize>,
     loading: Vec<String>,
+    /// Modules being evaluated in isolation further up the native stack
+    /// (this interpreter is then one of their sub-interpreters): importing
+    /// one of them is a cycle.
+    isolating: Vec<String>,
     entry: Option<usize>,
     exported: Option<Value>,
     deps: BTreeSet<String>,
     steps: u64,
+    /// Steps consumed by module loads since the innermost executing
+    /// module started; the rest of its steps are its own.
+    child_steps: u64,
     depth: u32,
 }
 
@@ -121,16 +157,19 @@ impl<'l> Interp<'l> {
         Interp {
             loader,
             cache: None,
+            store: None,
             limits,
             schemas: SchemaSet::new(),
             modules: Vec::new(),
             module_paths: Vec::new(),
             module_ids: HashMap::new(),
             loading: Vec::new(),
+            isolating: Vec::new(),
             entry: None,
             exported: None,
             deps: BTreeSet::new(),
             steps: 0,
+            child_steps: 0,
             depth: 0,
         }
     }
@@ -140,6 +179,16 @@ impl<'l> Interp<'l> {
     /// threads.
     pub fn with_parse_cache(mut self, cache: &'l ParseCache) -> Interp<'l> {
         self.cache = Some(cache);
+        self
+    }
+
+    /// Shares evaluated modules through `store`: an imported module (or
+    /// validator) is evaluated by the first interpreter that needs it and
+    /// linked by the rest. `store` must only ever see this loader's
+    /// current contents. Ignored when the store's limits differ from this
+    /// interpreter's.
+    pub fn with_module_store(mut self, store: &'l ModuleStore) -> Interp<'l> {
+        self.store = (store.limits() == self.limits).then_some(store);
         self
     }
 
@@ -173,7 +222,7 @@ impl<'l> Interp<'l> {
 
     /// Looks up a top-level binding of a module.
     pub fn global(&self, module: usize, name: &str) -> Option<&Value> {
-        self.modules.get(module).and_then(|m| m.get(name))
+        self.modules.get(module).and_then(|m| scope_of(m).get(name))
     }
 
     /// Calls the function bound to `name` in `module` with positional
@@ -196,15 +245,23 @@ impl<'l> Interp<'l> {
                 ))))
             }
         };
-        let path = self.module_paths[module].clone();
-        self.call_func(&f, args.to_vec(), Vec::new(), &path, 0)
+        self.call_func(&f, args.to_vec(), Vec::new(), module, 0)
+    }
+
+    fn register(&mut self, path: Arc<str>, slot: Slot) -> usize {
+        let idx = self.modules.len();
+        self.modules.push(slot);
+        self.module_paths.push(Arc::clone(&path));
+        self.module_ids.insert(path, idx);
+        idx
     }
 
     fn load_module(&mut self, path: &str, as_entry: bool) -> Result<usize> {
-        // A module still on the loading stack is mid-execution: importing it
-        // again is a cycle. This must be checked before the module-id cache,
-        // which registers modules eagerly.
-        if self.loading.iter().any(|p| p == path) {
+        // A module still on a loading stack is mid-execution: importing it
+        // again is a cycle. This must be checked before the module-id
+        // table, which registers modules eagerly.
+        let mut in_progress = self.isolating.iter().chain(&self.loading);
+        if in_progress.any(|p| p == path) {
             return Err(CdslError::nowhere(ErrorKind::ImportCycle(format!(
                 "{} -> {path}",
                 self.loading.join(" -> ")
@@ -213,38 +270,172 @@ impl<'l> Interp<'l> {
         if let Some(&idx) = self.module_ids.get(path) {
             return Ok(idx);
         }
+        let before = self.steps;
+        let idx = self.load_unregistered(path, as_entry)?;
+        self.child_steps += self.steps - before;
+        Ok(idx)
+    }
+
+    /// First load of `path` here: link the shared evaluation if there is
+    /// (or can be) one, else execute the module in this interpreter.
+    fn load_unregistered(&mut self, path: &str, as_entry: bool) -> Result<usize> {
+        let store = self.store.filter(|_| !as_entry);
+        let known = store.and_then(|s| s.get(path));
+        if let Some(Stored::Shared(module)) = &known {
+            if let Some(idx) = self.link(module) {
+                return Ok(idx);
+            }
+        }
         let src = self
             .loader
             .load(path)
             .ok_or_else(|| CdslError::nowhere(ErrorKind::MissingSource(path.to_string())))?;
-        let module: Arc<Module> = match self.cache {
+        let ast: Arc<Module> = match self.cache {
             Some(cache) => cache.module(&src, path)?,
             None => Arc::new(parse(&src, path)?),
         };
-        let idx = self.modules.len();
-        self.modules.push(Scope::new());
-        self.module_paths.push(Arc::from(path));
-        self.module_ids.insert(path.to_string(), idx);
+        drop(src);
+        if let (Some(store), None) = (store, known) {
+            let outcome = match self.isolate(path, &ast) {
+                Some(module) => Stored::Shared(module),
+                None => Stored::NeedsContext,
+            };
+            if let Stored::Shared(module) = store.publish(path, outcome) {
+                if let Some(idx) = self.link(&module) {
+                    return Ok(idx);
+                }
+            }
+        }
+        self.execute(path, &ast, as_entry)
+    }
+
+    /// Executes a module's statements here and freezes its scope.
+    fn execute(&mut self, path: &str, ast: &Module, as_entry: bool) -> Result<usize> {
+        let idx = self.register(Arc::from(path), Slot::open());
         if as_entry {
             self.entry = Some(idx);
         } else if self.entry.is_some() {
             self.deps.insert(path.to_string());
         }
         self.loading.push(path.to_string());
-        let result = self.exec_stmts(&module.stmts, idx, None);
+        let start = self.steps;
+        let outer_child_steps = std::mem::take(&mut self.child_steps);
+        let result = self.exec_stmts(&ast.stmts, idx, None);
         self.loading.pop();
         result?;
+        let own_steps = self.steps - start - self.child_steps;
+        self.child_steps = outer_child_steps;
+        let Slot::Live { scope, effects } = std::mem::replace(&mut self.modules[idx], Slot::open())
+        else {
+            unreachable!("a module is frozen once, when its statements finish");
+        };
+        self.modules[idx] = Slot::Done(Arc::new(FrozenModule {
+            path: Arc::clone(&self.module_paths[idx]),
+            scope,
+            effects,
+            own_steps,
+        }));
         Ok(idx)
     }
 
-    fn charge(&mut self, path: &str, line: u32) -> Result<()> {
+    /// Evaluates a module from nothing — no schemas loaded, no modules
+    /// registered, a full budget — so the result depends on its source
+    /// closure alone and any importer may link it. `None` if that fails
+    /// for any reason.
+    fn isolate(&self, path: &str, ast: &Module) -> Option<Arc<FrozenModule>> {
+        let mut sub = Interp::new(self.loader, self.limits);
+        sub.cache = self.cache;
+        sub.store = self.store;
+        sub.isolating = self.isolating.clone();
+        sub.isolating.push(path.to_string());
+        let idx = sub.execute(path, ast, false).ok()?;
+        Some(Arc::clone(sub.frozen(idx)))
+    }
+
+    /// Links a module evaluated elsewhere: registers it and every module
+    /// it imported that this interpreter has not met, replays their schema
+    /// loads and dependency edges in evaluation order and charges their
+    /// steps — what executing it here would have done. Declines (`None`)
+    /// unless that equivalence holds: no path it brings is already
+    /// registered here as a different evaluation, its schemas merge into
+    /// ours without conflict, and its steps fit the remaining budget.
+    fn link(&mut self, module: &Arc<FrozenModule>) -> Option<usize> {
+        let mut steps = self.steps;
+        if !self.can_link(module, &mut Vec::new(), &mut steps) || steps > self.limits.max_steps {
+            return None;
+        }
+        Some(self.replay(module))
+    }
+
+    fn can_link<'m>(
+        &self,
+        module: &'m Arc<FrozenModule>,
+        fresh: &mut Vec<&'m Arc<FrozenModule>>,
+        steps: &mut u64,
+    ) -> bool {
+        if let Some(&idx) = self.module_ids.get(&*module.path) {
+            return matches!(&self.modules[idx], Slot::Done(m) if Arc::ptr_eq(m, module));
+        }
+        if fresh.iter().any(|m| Arc::ptr_eq(m, module)) {
+            return true;
+        }
+        fresh.push(module);
+        *steps += module.own_steps;
+        module.effects.iter().all(|effect| match effect {
+            Effect::Import(m) => self.can_link(m, fresh, steps),
+            Effect::Schema { defs, .. } => self.schemas.accepts(defs),
+        })
+    }
+
+    fn replay(&mut self, module: &Arc<FrozenModule>) -> usize {
+        if let Some(&idx) = self.module_ids.get(&*module.path) {
+            return idx;
+        }
+        let idx = self.register(Arc::clone(&module.path), Slot::Done(Arc::clone(module)));
+        if self.entry.is_some() {
+            self.deps.insert(module.path.to_string());
+        }
+        self.steps += module.own_steps;
+        for effect in &module.effects {
+            match effect {
+                Effect::Import(m) => {
+                    self.replay(m);
+                }
+                Effect::Schema { path, defs } => {
+                    self.schemas
+                        .load_defs(defs, path)
+                        .expect("can_link checked the definitions merge");
+                    self.deps.insert(path.clone());
+                }
+            }
+        }
+        idx
+    }
+
+    fn frozen(&self, module: usize) -> &Arc<FrozenModule> {
+        match &self.modules[module] {
+            Slot::Done(m) => m,
+            Slot::Live { .. } => unreachable!("a loaded module has finished executing"),
+        }
+    }
+
+    /// The scope and effect log of the module whose top level is running.
+    fn live(&mut self, module: usize) -> (&mut Scope, &mut Vec<Effect>) {
+        match &mut self.modules[module] {
+            Slot::Live { scope, effects } => (scope, effects),
+            Slot::Done(_) => unreachable!("top-level statements run in an open module"),
+        }
+    }
+
+    fn error(&self, module: usize, line: u32, kind: ErrorKind) -> CdslError {
+        CdslError::new(kind, &self.module_paths[module], line)
+    }
+
+    fn charge(&mut self, module: usize, line: u32) -> Result<()> {
         self.steps += 1;
         if self.steps > self.limits.max_steps {
-            return Err(CdslError::new(
-                ErrorKind::Budget(format!("exceeded {} steps", self.limits.max_steps)),
-                path,
-                line,
-            ));
+            let kind = ErrorKind::Budget(format!("exceeded {} steps", self.limits.max_steps));
+            return Err(self.error(module, line, kind));
         }
         Ok(())
     }
@@ -253,7 +444,7 @@ impl<'l> Interp<'l> {
         &mut self,
         stmts: &[Stmt],
         module: usize,
-        mut locals: Option<&mut Scope>,
+        mut locals: Option<&mut Locals>,
     ) -> Result<Flow> {
         for stmt in stmts {
             match self.exec_stmt(stmt, module, locals.as_deref_mut())? {
@@ -268,10 +459,13 @@ impl<'l> Interp<'l> {
         &mut self,
         stmt: &Stmt,
         module: usize,
-        mut locals: Option<&mut Scope>,
+        mut locals: Option<&mut Locals>,
     ) -> Result<Flow> {
-        let path = self.module_paths[module].clone();
-        self.charge(&path, stmt.line)?;
+        self.charge(module, stmt.line)?;
+        let top_level_only = |what: &str| {
+            let kind = ErrorKind::Eval(format!("{what} is only allowed at module top level"));
+            self.error(module, stmt.line, kind)
+        };
         match &stmt.kind {
             StmtKind::Assign { name, value } => {
                 let v = self.eval(value, module, locals.as_deref())?;
@@ -279,9 +473,7 @@ impl<'l> Interp<'l> {
                     Some(l) => {
                         l.insert(name.clone(), v);
                     }
-                    None => {
-                        self.modules[module].insert(name.clone(), v);
-                    }
+                    None => self.live(module).0.insert(name.clone(), v),
                 }
                 Ok(Flow::Normal)
             }
@@ -291,66 +483,54 @@ impl<'l> Interp<'l> {
             }
             StmtKind::Import(target) => {
                 if locals.is_some() {
-                    return Err(CdslError::new(
-                        ErrorKind::Eval("import is only allowed at module top level".into()),
-                        &path,
-                        stmt.line,
-                    ));
+                    return Err(top_level_only("import"));
                 }
                 let dep = self.load_module(target, false)?;
-                // Copy the imported module's top-level bindings, like the
+                // Bind the imported module's top-level names, like the
                 // paper's `import_python(path, "*")`.
-                let bindings: Vec<(String, Value)> = self.modules[dep]
-                    .iter()
-                    .map(|(k, v)| (k.clone(), v.clone()))
-                    .collect();
-                self.modules[module].extend(bindings);
+                let dep = Arc::clone(self.frozen(dep));
+                let (scope, effects) = self.live(module);
+                scope.link(&dep);
+                effects.push(Effect::Import(dep));
                 Ok(Flow::Normal)
             }
             StmtKind::Schema(target) => {
                 if locals.is_some() {
-                    return Err(CdslError::new(
-                        ErrorKind::Eval("schema is only allowed at module top level".into()),
-                        &path,
-                        stmt.line,
-                    ));
+                    return Err(top_level_only("schema"));
                 }
                 let src = self.loader.load(target).ok_or_else(|| {
-                    CdslError::new(ErrorKind::MissingSource(target.clone()), &path, stmt.line)
+                    self.error(module, stmt.line, ErrorKind::MissingSource(target.clone()))
                 })?;
-                match self.cache {
-                    Some(cache) => {
-                        let defs = cache.schema(&src, target)?;
-                        self.schemas.load_defs(&defs, target)?;
-                    }
-                    None => self.schemas.load(&src, target)?,
-                }
+                let defs = match self.cache {
+                    Some(cache) => cache.schema(&src, target)?,
+                    None => Arc::new(parse_schema(&src, target)?),
+                };
+                self.schemas.load_defs(&defs, target)?;
                 // A schema file is always a dependency of the config.
                 self.deps.insert(target.clone());
+                self.live(module).1.push(Effect::Schema {
+                    path: target.clone(),
+                    defs,
+                });
                 Ok(Flow::Normal)
             }
             StmtKind::Def(def) => {
                 if locals.is_some() {
-                    return Err(CdslError::new(
-                        ErrorKind::Eval("nested function definitions are not supported".into()),
-                        &path,
-                        stmt.line,
-                    ));
+                    let kind =
+                        ErrorKind::Eval("nested function definitions are not supported".into());
+                    return Err(self.error(module, stmt.line, kind));
                 }
                 let f = Value::Func(Arc::new(FuncValue {
                     def: Arc::clone(def),
-                    module,
+                    module: Arc::clone(&self.module_paths[module]),
                 }));
-                self.modules[module].insert(def.name.clone(), f);
+                self.live(module).0.insert(def.name.clone(), f);
                 Ok(Flow::Normal)
             }
             StmtKind::Return(value) => {
                 if locals.is_none() {
-                    return Err(CdslError::new(
-                        ErrorKind::Eval("return outside function".into()),
-                        &path,
-                        stmt.line,
-                    ));
+                    let kind = ErrorKind::Eval("return outside function".into());
+                    return Err(self.error(module, stmt.line, kind));
                 }
                 let v = match value {
                     Some(e) => self.eval(e, module, locals.as_deref())?,
@@ -376,11 +556,9 @@ impl<'l> Interp<'l> {
                     Value::List(l) => l.to_vec(),
                     Value::Dict(d) => d.keys().map(Value::str).collect(),
                     other => {
-                        return Err(CdslError::new(
-                            ErrorKind::Eval(format!("cannot iterate a {}", other.type_name())),
-                            &path,
-                            stmt.line,
-                        ))
+                        let kind =
+                            ErrorKind::Eval(format!("cannot iterate a {}", other.type_name()));
+                        return Err(self.error(module, stmt.line, kind));
                     }
                 };
                 for item in items {
@@ -388,9 +566,7 @@ impl<'l> Interp<'l> {
                         Some(l) => {
                             l.insert(var.clone(), item);
                         }
-                        None => {
-                            self.modules[module].insert(var.clone(), item);
-                        }
+                        None => self.live(module).0.insert(var.clone(), item),
                     }
                     match self.exec_stmts(body, module, locals.as_deref_mut())? {
                         Flow::Normal => {}
@@ -402,36 +578,34 @@ impl<'l> Interp<'l> {
         }
     }
 
-    fn lookup(&self, name: &str, module: usize, locals: Option<&Scope>) -> Option<Value> {
-        if let Some(l) = locals {
-            if let Some(v) = l.get(name) {
-                return Some(v.clone());
-            }
-        }
-        if let Some(v) = self.modules[module].get(name) {
+    fn lookup(&self, name: &str, module: usize, locals: Option<&Locals>) -> Option<Value> {
+        if let Some(v) = locals.and_then(|l| l.get(name)) {
             return Some(v.clone());
         }
-        if BUILTINS.contains(&name) {
-            return Some(Value::Builtin(
-                BUILTINS.iter().find(|b| **b == name).expect("checked"),
-            ));
+        if let Some(v) = scope_of(&self.modules[module]).get(name) {
+            return Some(v.clone());
         }
-        None
+        BUILTINS
+            .iter()
+            .find(|b| **b == name)
+            .map(|b| Value::Builtin(b))
     }
 
-    fn eval(&mut self, expr: &Expr, module: usize, locals: Option<&Scope>) -> Result<Value> {
-        let path = self.module_paths[module].clone();
-        self.charge(&path, expr.line)?;
-        let err = |kind: ErrorKind| CdslError::new(kind, &path, expr.line);
+    fn eval(&mut self, expr: &Expr, module: usize, locals: Option<&Locals>) -> Result<Value> {
+        self.charge(module, expr.line)?;
         match &expr.kind {
             ExprKind::Null => Ok(Value::Null),
             ExprKind::Bool(b) => Ok(Value::Bool(*b)),
             ExprKind::Int(v) => Ok(Value::Int(*v)),
             ExprKind::Float(v) => Ok(Value::Float(*v)),
             ExprKind::Str(s) => Ok(Value::str(s)),
-            ExprKind::Name(n) => self
-                .lookup(n, module, locals)
-                .ok_or_else(|| err(ErrorKind::Eval(format!("undefined name: {n}")))),
+            ExprKind::Name(n) => self.lookup(n, module, locals).ok_or_else(|| {
+                self.error(
+                    module,
+                    expr.line,
+                    ErrorKind::Eval(format!("undefined name: {n}")),
+                )
+            }),
             ExprKind::List(items) => {
                 let mut out = Vec::with_capacity(items.len());
                 for e in items {
@@ -445,10 +619,14 @@ impl<'l> Interp<'l> {
                     let key = match self.eval(k, module, locals)? {
                         Value::Str(s) => s.to_string(),
                         other => {
-                            return Err(err(ErrorKind::Eval(format!(
-                                "dict keys must be strings, found {}",
-                                other.type_name()
-                            ))))
+                            return Err(self.error(
+                                module,
+                                expr.line,
+                                ErrorKind::Eval(format!(
+                                    "dict keys must be strings, found {}",
+                                    other.type_name()
+                                )),
+                            ))
                         }
                     };
                     let value = self.eval(v, module, locals)?;
@@ -461,7 +639,7 @@ impl<'l> Interp<'l> {
                 for (fname, fexpr) in fields {
                     given.push((fname.clone(), self.eval(fexpr, module, locals)?));
                 }
-                self.build_struct(name, given, &path, expr.line)
+                self.build_struct(name, given, module, expr.line)
             }
             ExprKind::Bin(op, lhs, rhs) => self.eval_bin(*op, lhs, rhs, module, locals),
             ExprKind::Un(op, inner) => {
@@ -471,10 +649,11 @@ impl<'l> Interp<'l> {
                     UnOp::Neg => match v {
                         Value::Int(i) => Ok(Value::Int(-i)),
                         Value::Float(f) => Ok(Value::Float(-f)),
-                        other => Err(err(ErrorKind::Eval(format!(
-                            "cannot negate a {}",
-                            other.type_name()
-                        )))),
+                        other => Err(self.error(
+                            module,
+                            expr.line,
+                            ErrorKind::Eval(format!("cannot negate a {}", other.type_name())),
+                        )),
                     },
                 }
             }
@@ -497,22 +676,31 @@ impl<'l> Interp<'l> {
                         let len = l.len() as i64;
                         let k = if *n < 0 { n + len } else { *n };
                         if k < 0 || k >= len {
-                            Err(err(ErrorKind::Eval(format!(
-                                "list index {n} out of range (len {len})"
-                            ))))
+                            Err(self.error(
+                                module,
+                                expr.line,
+                                ErrorKind::Eval(format!("list index {n} out of range (len {len})")),
+                            ))
                         } else {
                             Ok(l[k as usize].clone())
                         }
                     }
-                    (Value::Dict(d), Value::Str(k)) => d
-                        .get(&**k)
-                        .cloned()
-                        .ok_or_else(|| err(ErrorKind::Eval(format!("missing dict key: {k}")))),
-                    _ => Err(err(ErrorKind::Eval(format!(
-                        "cannot index {} with {}",
-                        b.type_name(),
-                        i.type_name()
-                    )))),
+                    (Value::Dict(d), Value::Str(k)) => d.get(&**k).cloned().ok_or_else(|| {
+                        self.error(
+                            module,
+                            expr.line,
+                            ErrorKind::Eval(format!("missing dict key: {k}")),
+                        )
+                    }),
+                    _ => Err(self.error(
+                        module,
+                        expr.line,
+                        ErrorKind::Eval(format!(
+                            "cannot index {} with {}",
+                            b.type_name(),
+                            i.type_name()
+                        )),
+                    )),
                 }
             }
             ExprKind::Attr(base, attr) => {
@@ -521,7 +709,11 @@ impl<'l> Interp<'l> {
                     if self.lookup(n, module, locals).is_none() {
                         if let Some(e) = self.schemas.get_enum(n) {
                             return e.variant(attr).ok_or_else(|| {
-                                err(ErrorKind::Eval(format!("enum {n} has no variant {attr}")))
+                                self.error(
+                                    module,
+                                    expr.line,
+                                    ErrorKind::Eval(format!("enum {n} has no variant {attr}")),
+                                )
                             });
                         }
                     }
@@ -529,17 +721,22 @@ impl<'l> Interp<'l> {
                 let b = self.eval(base, module, locals)?;
                 match &b {
                     Value::Struct(s) => s.get(attr).cloned().ok_or_else(|| {
-                        err(ErrorKind::Eval(format!(
-                            "struct {} has no field {attr}",
-                            s.type_name
-                        )))
+                        self.error(
+                            module,
+                            expr.line,
+                            ErrorKind::Eval(format!("struct {} has no field {attr}", s.type_name)),
+                        )
                     }),
                     Value::Enum(e) if attr == "name" => Ok(Value::str(&e.variant)),
                     Value::Enum(e) if attr == "value" => Ok(Value::Int(e.number)),
-                    other => Err(err(ErrorKind::Eval(format!(
-                        "cannot access attribute {attr} on {}",
-                        other.type_name()
-                    )))),
+                    other => Err(self.error(
+                        module,
+                        expr.line,
+                        ErrorKind::Eval(format!(
+                            "cannot access attribute {attr} on {}",
+                            other.type_name()
+                        )),
+                    )),
                 }
             }
             ExprKind::Call {
@@ -557,14 +754,23 @@ impl<'l> Interp<'l> {
                     kwargv.push((k.clone(), self.eval(v, module, locals)?));
                 }
                 match f {
-                    Value::Func(func) => self.call_func(&func, argv, kwargv, &path, expr.line),
+                    Value::Func(func) => self.call_func(&func, argv, kwargv, module, expr.line),
+                    // Whatever a builtin rejects, it rejects at the call.
                     Value::Builtin(name) => {
-                        self.call_builtin(name, argv, kwargv, module, &path, expr.line)
+                        self.call_builtin(name, argv, kwargv, module)
+                            .map_err(|mut e| {
+                                e.location = Location {
+                                    path: self.module_paths[module].to_string(),
+                                    line: expr.line,
+                                };
+                                e
+                            })
                     }
-                    other => Err(err(ErrorKind::Eval(format!(
-                        "cannot call a {}",
-                        other.type_name()
-                    )))),
+                    other => Err(self.error(
+                        module,
+                        expr.line,
+                        ErrorKind::Eval(format!("cannot call a {}", other.type_name())),
+                    )),
                 }
             }
         }
@@ -575,27 +781,41 @@ impl<'l> Interp<'l> {
         f: &FuncValue,
         args: Vec<Value>,
         kwargs: Vec<(String, Value)>,
-        path: &str,
+        caller: usize,
         line: u32,
     ) -> Result<Value> {
-        let err = |kind: ErrorKind| CdslError::new(kind, path, line);
+        let Some(&home) = self.module_ids.get(&*f.module) else {
+            let kind = ErrorKind::Eval(format!(
+                "{} was defined in {}, which is not loaded here",
+                f.def.name, f.module
+            ));
+            return Err(self.error(caller, line, kind));
+        };
         self.depth += 1;
         if self.depth > self.limits.max_depth {
             self.depth -= 1;
-            return Err(err(ErrorKind::Budget(format!(
-                "call depth exceeded {} in {}",
-                self.limits.max_depth, f.def.name
-            ))));
+            return Err(self.error(
+                caller,
+                line,
+                ErrorKind::Budget(format!(
+                    "call depth exceeded {} in {}",
+                    self.limits.max_depth, f.def.name
+                )),
+            ));
         }
-        let mut locals = Scope::new();
+        let mut locals = Locals::new();
         if args.len() > f.def.params.len() {
             self.depth -= 1;
-            return Err(err(ErrorKind::Eval(format!(
-                "{} takes at most {} arguments, got {}",
-                f.def.name,
-                f.def.params.len(),
-                args.len()
-            ))));
+            return Err(self.error(
+                caller,
+                line,
+                ErrorKind::Eval(format!(
+                    "{} takes at most {} arguments, got {}",
+                    f.def.name,
+                    f.def.params.len(),
+                    args.len()
+                )),
+            ));
         }
         for (i, a) in args.into_iter().enumerate() {
             locals.insert(f.def.params[i].name.clone(), a);
@@ -603,17 +823,22 @@ impl<'l> Interp<'l> {
         for (k, v) in kwargs {
             if !f.def.params.iter().any(|p| p.name == k) {
                 self.depth -= 1;
-                return Err(err(ErrorKind::Eval(format!(
-                    "{} has no parameter {k}",
-                    f.def.name
-                ))));
+                return Err(self.error(
+                    caller,
+                    line,
+                    ErrorKind::Eval(format!("{} has no parameter {k}", f.def.name)),
+                ));
             }
             if locals.contains_key(&k) {
                 self.depth -= 1;
-                return Err(err(ErrorKind::Eval(format!(
-                    "duplicate value for parameter {k} of {}",
-                    f.def.name
-                ))));
+                return Err(self.error(
+                    caller,
+                    line,
+                    ErrorKind::Eval(format!(
+                        "duplicate value for parameter {k} of {}",
+                        f.def.name
+                    )),
+                ));
             }
             locals.insert(k, v);
         }
@@ -621,20 +846,24 @@ impl<'l> Interp<'l> {
             if !locals.contains_key(&p.name) {
                 match &p.default {
                     Some(d) => {
-                        let v = self.eval(d, f.module, None)?;
+                        let v = self.eval(d, home, None)?;
                         locals.insert(p.name.clone(), v);
                     }
                     None => {
                         self.depth -= 1;
-                        return Err(err(ErrorKind::Eval(format!(
-                            "missing argument {} for {}",
-                            p.name, f.def.name
-                        ))));
+                        return Err(self.error(
+                            caller,
+                            line,
+                            ErrorKind::Eval(format!(
+                                "missing argument {} for {}",
+                                p.name, f.def.name
+                            )),
+                        ));
                     }
                 }
             }
         }
-        let result = self.exec_stmts(&f.def.body.clone(), f.module, Some(&mut locals));
+        let result = self.exec_stmts(&f.def.body, home, Some(&mut locals));
         self.depth -= 1;
         match result? {
             Flow::Return(v) => Ok(v),
@@ -648,11 +877,8 @@ impl<'l> Interp<'l> {
         lhs: &Expr,
         rhs: &Expr,
         module: usize,
-        locals: Option<&Scope>,
+        locals: Option<&Locals>,
     ) -> Result<Value> {
-        let path = self.module_paths[module].clone();
-        let line = lhs.line;
-        let err = |m: String| CdslError::new(ErrorKind::Eval(m), &path, line);
         // Short-circuit operators first.
         match op {
             BinOp::And => {
@@ -675,6 +901,7 @@ impl<'l> Interp<'l> {
         }
         let l = self.eval(lhs, module, locals)?;
         let r = self.eval(rhs, module, locals)?;
+        let err = |m: String| self.error(module, lhs.line, ErrorKind::Eval(m));
         let num = |v: &Value| -> Option<f64> {
             match v {
                 Value::Int(i) => Some(*i as f64),
@@ -797,15 +1024,15 @@ impl<'l> Interp<'l> {
     /// Constructs a schema struct: type-checks fields, fills defaults,
     /// rejects unknown or missing fields.
     fn build_struct(
-        &mut self,
+        &self,
         name: &str,
         given: Vec<(String, Value)>,
-        path: &str,
+        module: usize,
         line: u32,
     ) -> Result<Value> {
-        let err = |m: String| CdslError::new(ErrorKind::Type(m), path, line);
-        let def: StructDef = match self.schemas.get(name) {
-            Some(TypeDef::Struct(s)) => s.clone(),
+        let err = |m: String| self.error(module, line, ErrorKind::Type(m));
+        let def: &StructDef = match self.schemas.get(name) {
+            Some(TypeDef::Struct(s)) => s,
             Some(TypeDef::Enum(_)) => return Err(err(format!("{name} is an enum, not a struct"))),
             None => return Err(err(format!("unknown struct type: {name}"))),
         };
@@ -818,9 +1045,9 @@ impl<'l> Interp<'l> {
         for fdef in &def.fields {
             let provided = given.iter().find(|(n, _)| *n == fdef.name);
             let value = match provided {
-                Some((_, v)) => self.coerce(v.clone(), &fdef.ty, &fdef.name, name, path, line)?,
+                Some((_, v)) => self.coerce(v.clone(), &fdef.ty, &fdef.name, name, module, line)?,
                 None => match &fdef.default {
-                    Some(d) => self.coerce(d.clone(), &fdef.ty, &fdef.name, name, path, line)?,
+                    Some(d) => self.coerce(d.clone(), &fdef.ty, &fdef.name, name, module, line)?,
                     None if fdef.optional => Value::Null,
                     None => {
                         return Err(err(format!(
@@ -840,24 +1067,21 @@ impl<'l> Interp<'l> {
 
     /// Checks and coerces `v` to type `ty`.
     fn coerce(
-        &mut self,
+        &self,
         v: Value,
         ty: &Type,
         field: &str,
         in_struct: &str,
-        path: &str,
+        module: usize,
         line: u32,
     ) -> Result<Value> {
+        let type_err = |m: String| self.error(module, line, ErrorKind::Type(m));
         let mismatch = |v: &Value| {
-            CdslError::new(
-                ErrorKind::Type(format!(
-                    "field {in_struct}.{field}: expected {}, found {}",
-                    ty.render(),
-                    v.type_name()
-                )),
-                path,
-                line,
-            )
+            type_err(format!(
+                "field {in_struct}.{field}: expected {}, found {}",
+                ty.render(),
+                v.type_name()
+            ))
         };
         match (ty, v) {
             (Type::Bool, v @ Value::Bool(_)) => Ok(v),
@@ -865,13 +1089,9 @@ impl<'l> Interp<'l> {
                 if i32::try_from(i).is_ok() {
                     Ok(Value::Int(i))
                 } else {
-                    Err(CdslError::new(
-                        ErrorKind::Type(format!(
-                            "field {in_struct}.{field}: {i} out of range for i32"
-                        )),
-                        path,
-                        line,
-                    ))
+                    Err(type_err(format!(
+                        "field {in_struct}.{field}: {i} out of range for i32"
+                    )))
                 }
             }
             (Type::I64, v @ Value::Int(_)) => Ok(v),
@@ -881,7 +1101,7 @@ impl<'l> Interp<'l> {
             (Type::List(inner), Value::List(items)) => {
                 let mut out = Vec::with_capacity(items.len());
                 for item in items.iter() {
-                    out.push(self.coerce(item.clone(), inner, field, in_struct, path, line)?);
+                    out.push(self.coerce(item.clone(), inner, field, in_struct, module, line)?);
                 }
                 Ok(Value::list(out))
             }
@@ -890,7 +1110,7 @@ impl<'l> Interp<'l> {
                 for (k, item) in map.iter() {
                     out.insert(
                         k.clone(),
-                        self.coerce(item.clone(), inner, field, in_struct, path, line)?,
+                        self.coerce(item.clone(), inner, field, in_struct, module, line)?,
                     );
                 }
                 Ok(Value::dict(out))
@@ -901,13 +1121,9 @@ impl<'l> Interp<'l> {
                     // A bare string (e.g. a schema default) resolves to the
                     // variant of that name.
                     Value::Str(s) => e.variant(s).ok_or_else(|| {
-                        CdslError::new(
-                            ErrorKind::Type(format!(
-                                "field {in_struct}.{field}: enum {tname} has no variant {s}"
-                            )),
-                            path,
-                            line,
-                        )
+                        type_err(format!(
+                            "field {in_struct}.{field}: enum {tname} has no variant {s}"
+                        ))
                     }),
                     other => Err(mismatch(other)),
                 },
@@ -915,11 +1131,9 @@ impl<'l> Interp<'l> {
                     Value::Struct(sv) if sv.type_name == *tname => Ok(v),
                     other => Err(mismatch(other)),
                 },
-                None => Err(CdslError::new(
-                    ErrorKind::Type(format!("field {in_struct}.{field}: unknown type {tname}")),
-                    path,
-                    line,
-                )),
+                None => Err(type_err(format!(
+                    "field {in_struct}.{field}: unknown type {tname}"
+                ))),
             },
             (_, other) => Err(mismatch(&other)),
         }
@@ -931,10 +1145,8 @@ impl<'l> Interp<'l> {
         args: Vec<Value>,
         kwargs: Vec<(String, Value)>,
         module: usize,
-        path: &str,
-        line: u32,
     ) -> Result<Value> {
-        let err = |m: String| CdslError::new(ErrorKind::Eval(m), path, line);
+        let err = |m: String| CdslError::nowhere(ErrorKind::Eval(m));
         if !kwargs.is_empty() {
             return Err(err(format!("builtin {name} takes no keyword arguments")));
         }
@@ -955,11 +1167,9 @@ impl<'l> Interp<'l> {
                 arity(1..=1)?;
                 if self.entry == Some(module) {
                     if self.exported.is_some() {
-                        return Err(CdslError::new(
-                            ErrorKind::Export("config exported more than once".into()),
-                            path,
-                            line,
-                        ));
+                        return Err(CdslError::nowhere(ErrorKind::Export(
+                            "config exported more than once".into(),
+                        )));
                     }
                     self.exported = Some(args.into_iter().next().expect("arity"));
                 }
@@ -976,7 +1186,7 @@ impl<'l> Interp<'l> {
                 if cond.truthy() {
                     Ok(Value::Null)
                 } else {
-                    Err(CdslError::new(ErrorKind::Validation(msg), path, line))
+                    Err(CdslError::nowhere(ErrorKind::Validation(msg)))
                 }
             }
             "fail" => {
@@ -1033,11 +1243,10 @@ impl<'l> Interp<'l> {
                     _ => return Err(err("range expects integer arguments".into())),
                 };
                 if hi - lo > self.limits.max_range {
-                    return Err(CdslError::new(
-                        ErrorKind::Budget(format!("range too large: {}", hi - lo)),
-                        path,
-                        line,
-                    ));
+                    return Err(CdslError::nowhere(ErrorKind::Budget(format!(
+                        "range too large: {}",
+                        hi - lo
+                    ))));
                 }
                 Ok(Value::list((lo..hi).map(Value::Int).collect()))
             }
@@ -1266,6 +1475,13 @@ impl<'l> Interp<'l> {
             }
             other => Err(err(format!("unknown builtin: {other}"))),
         }
+    }
+}
+
+fn scope_of(slot: &Slot) -> &Scope {
+    match slot {
+        Slot::Live { scope, .. } => scope,
+        Slot::Done(module) => &module.scope,
     }
 }
 

@@ -52,6 +52,7 @@ pub mod compile;
 pub mod error;
 pub mod interp;
 pub mod lexer;
+pub mod module;
 pub mod parser;
 pub mod schema;
 pub mod value;
@@ -61,5 +62,6 @@ pub use cache::{content_key, CacheStats, ContentKey, ParseCache};
 pub use compile::{CompiledConfig, Compiler, COMPILER_VERSION};
 pub use error::{CdslError, ErrorKind, Result};
 pub use interp::{Interp, Limits, Loader};
+pub use module::ModuleStore;
 pub use schema::{SchemaSet, Type, TypeDef};
 pub use value::{StructValue, Value};

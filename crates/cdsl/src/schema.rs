@@ -194,6 +194,13 @@ impl SchemaSet {
         self.load_defs(&defs, path)
     }
 
+    /// Whether [`SchemaSet::load_defs`] would accept `defs`: none of them
+    /// redefines a loaded type differently.
+    pub fn accepts(&self, defs: &[TypeDef]) -> bool {
+        defs.iter()
+            .all(|def| !matches!(self.types.get(def.name()), Some(known) if known != def))
+    }
+
     /// Merges already-parsed definitions (e.g. from a
     /// [`crate::cache::ParseCache`]) under the same redefinition rules as
     /// [`SchemaSet::load`].

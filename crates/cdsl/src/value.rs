@@ -55,13 +55,17 @@ impl StructValue {
     }
 }
 
-/// A user function plus the captured module scope id.
+/// A user function plus the module whose scope it closes over.
 #[derive(Debug)]
 pub struct FuncValue {
     /// The definition.
     pub def: Arc<FuncDef>,
-    /// Index of the module scope the function closes over.
-    pub module: usize,
+    /// Path of the defining module. A path rather than an index or a
+    /// pointer: the value may be called from an interpreter other than
+    /// the one that created it (see [`crate::module`]), which resolves
+    /// the path in its own module table — and a scope that owned pointers
+    /// back to itself through its functions would never be freed.
+    pub module: Arc<str>,
 }
 
 /// An enum variant value.

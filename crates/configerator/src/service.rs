@@ -33,6 +33,10 @@
 //!   [`ParseCache`], so each module/schema/validator source is lexed and
 //!   parsed once per batch *and* stays warm across commits (an edit simply
 //!   misses on the new content).
+//! * **Shared module evaluation** — with the parse cache on, the compiles
+//!   of one plan also share a [`ModuleStore`]: each imported module and
+//!   validator is evaluated once per plan and linked, not re-executed and
+//!   copied, by every other entry that imports it.
 //! * **Parallel execution** — remaining candidates compile on a scoped
 //!   thread pool. Results are ordered by entry path and errors are
 //!   collected and sorted, so the outcome is byte-for-byte deterministic
@@ -50,7 +54,7 @@ use std::time::Instant;
 use bytes::Bytes;
 use cdsl::compile::{CompiledConfig, Compiler, COMPILER_VERSION};
 use cdsl::interp::Loader;
-use cdsl::{content_key, CacheStats, ContentKey, ParseCache};
+use cdsl::{content_key, CacheStats, ContentKey, ModuleStore, ParseCache};
 use gitstore::multirepo::MultiRepo;
 use gitstore::object::ObjectId;
 use gitstore::repo::Change;
@@ -203,7 +207,8 @@ pub struct CompileOptions {
     /// Skip candidates whose fingerprint is unchanged, reusing the stored
     /// artifact.
     pub incremental: bool,
-    /// Share parsed ASTs through the content-addressed [`ParseCache`].
+    /// Share parsed ASTs through the content-addressed [`ParseCache`],
+    /// and, within one plan, evaluated modules through a [`ModuleStore`].
     pub parse_cache: bool,
     /// Run the static verifier ([`cdsl::analysis`]) as a pre-commit gate:
     /// error findings reject the commit before anything compiles.
@@ -757,12 +762,20 @@ impl ConfigeratorService {
         }
 
         // Compile the remaining candidates, serially or on a scoped pool.
-        let cache = self.options.parse_cache.then_some(&*self.parse_cache);
+        // The plan's overlay view is immutable, so beside the parse cache
+        // the compiles share one store of evaluated modules: the hot
+        // `.cinc` of a wide ripple is executed once for the whole plan,
+        // on whichever worker reaches it first, and linked by the rest.
+        // It is dropped with the plan; the next commit sees new sources.
+        let shared = self
+            .options
+            .parse_cache
+            .then(|| (&*self.parse_cache, ModuleStore::new()));
         let compile_one = |entry: &str| {
             let start = Instant::now();
             let mut compiler = Compiler::new(&loader);
-            if let Some(c) = cache {
-                compiler = compiler.with_cache(c);
+            if let Some((cache, modules)) = &shared {
+                compiler = compiler.with_cache(cache).with_module_store(modules);
             }
             let res = compiler.compile(entry);
             (start.elapsed().as_micros() as u64, res)

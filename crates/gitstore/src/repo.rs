@@ -6,6 +6,7 @@
 //! git reads and rewrites `.git/index` (one entry per tracked file) on each
 //! commit, which is why commit latency grows with repository size (Fig 13).
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::collections::HashSet;
 use std::fmt;
@@ -344,7 +345,7 @@ impl Repository {
         let ta = self.commit_info(a)?.tree;
         let tb = self.commit_info(b)?.tree;
         let mut out = Vec::new();
-        self.diff_trees(Some(ta), Some(tb), String::new(), &mut out)?;
+        self.diff_trees(Some(ta), Some(tb), "", &mut out)?;
         Ok(out)
     }
 
@@ -425,60 +426,67 @@ impl Repository {
         Ok(())
     }
 
+    /// Merge-walks the two name-sorted entry lists by reference: one pass,
+    /// no tree clones, no per-name search. Changes come out in name order,
+    /// a file's change before the subtree that replaced it.
     fn diff_trees(
         &self,
         a: Option<ObjectId>,
         b: Option<ObjectId>,
-        prefix: String,
+        prefix: &str,
         out: &mut Vec<PathChange>,
     ) -> Result<(), Error> {
         if a == b {
             return Ok(());
         }
-        let empty = Tree::default();
-        let ta = match a {
-            Some(oid) => self.tree(oid)?.clone(),
-            None => empty.clone(),
+        let entries = |oid: Option<ObjectId>| -> Result<&[TreeEntry], Error> {
+            match oid {
+                Some(oid) => Ok(&self.tree(oid)?.entries),
+                None => Ok(&[]),
+            }
         };
-        let tb = match b {
-            Some(oid) => self.tree(oid)?.clone(),
-            None => empty,
-        };
-        let names: std::collections::BTreeSet<&str> = ta
-            .entries
-            .iter()
-            .chain(tb.entries.iter())
-            .map(|e| e.name.as_str())
-            .collect();
-        for name in names {
-            let ea = ta.entries.iter().find(|e| e.name == name);
-            let eb = tb.entries.iter().find(|e| e.name == name);
+        let (ea, eb) = (entries(a)?, entries(b)?);
+        let (mut i, mut j) = (0, 0);
+        while i < ea.len() || j < eb.len() {
+            let order = match (ea.get(i), eb.get(j)) {
+                (Some(x), Some(y)) => x.name.cmp(&y.name),
+                (Some(_), None) => Ordering::Less,
+                _ => Ordering::Greater,
+            };
+            let x = (order != Ordering::Greater).then(|| &ea[i]);
+            let y = (order != Ordering::Less).then(|| &eb[j]);
+            i += x.is_some() as usize;
+            j += y.is_some() as usize;
+            if let (Some(x), Some(y)) = (x, y) {
+                if x.oid == y.oid && x.kind == y.kind {
+                    continue;
+                }
+            }
+            let name = &x.or(y).expect("one side has an entry").name;
             let path = if prefix.is_empty() {
-                name.to_string()
+                name.clone()
             } else {
                 format!("{prefix}/{name}")
             };
-            match (ea, eb) {
-                (Some(x), Some(y)) if x.oid == y.oid && x.kind == y.kind => {}
-                _ => {
-                    let sub = |e: Option<&TreeEntry>, k: EntryKind| {
-                        e.filter(|e| e.kind == k).map(|e| e.oid)
-                    };
-                    let ba = sub(ea, EntryKind::Blob);
-                    let bb = sub(eb, EntryKind::Blob);
-                    if ba != bb {
-                        out.push(PathChange {
-                            path: path.clone(),
-                            old: ba,
-                            new: bb,
-                        });
-                    }
-                    let da = sub(ea, EntryKind::Tree);
-                    let db = sub(eb, EntryKind::Tree);
-                    if da.is_some() || db.is_some() {
-                        self.diff_trees(da, db, path, out)?;
-                    }
+            let sub =
+                |e: Option<&TreeEntry>, k: EntryKind| e.filter(|e| e.kind == k).map(|e| e.oid);
+            let (ba, bb) = (sub(x, EntryKind::Blob), sub(y, EntryKind::Blob));
+            let (da, db) = (sub(x, EntryKind::Tree), sub(y, EntryKind::Tree));
+            if da.is_some() || db.is_some() {
+                if ba != bb {
+                    out.push(PathChange {
+                        path: path.clone(),
+                        old: ba,
+                        new: bb,
+                    });
                 }
+                self.diff_trees(da, db, &path, out)?;
+            } else {
+                out.push(PathChange {
+                    path,
+                    old: ba,
+                    new: bb,
+                });
             }
         }
         Ok(())
@@ -752,6 +760,87 @@ mod tests {
             .collect();
         paths.sort();
         assert_eq!(paths, vec!["a/one", "c", "d/new"]);
+    }
+
+    /// `diff_commits` against the obvious oracle: diff the two flat
+    /// snapshots. Random histories over a small name pool (so a name is a
+    /// file in one commit and a directory in another) beside a 2,000-wide
+    /// directory, compared across arbitrary, non-adjacent commit pairs.
+    #[test]
+    fn diff_commits_equals_snapshot_diff_on_random_trees() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        for seed in 0..4u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut r = Repository::new();
+            let wide: Vec<Change> = (0..2_000)
+                .map(|i| put(&format!("wide/f{i:04}"), "w"))
+                .collect();
+            let mut commits = vec![r.commit("a", "wide", 0, wide).unwrap().id];
+            let names = ["a", "a-b", "b", "c"];
+            let mut live: Vec<String> = Vec::new();
+            for t in 1..120u64 {
+                // Paths of depth 1–3 over the pool: `a` the file and `a/b`
+                // the directory entry compete for the same name.
+                let depth = rng.gen_range(1..4usize);
+                let path = (0..depth)
+                    .map(|_| names[rng.gen_range(0..names.len())])
+                    .collect::<Vec<_>>()
+                    .join("/");
+                let change = if !live.is_empty() && rng.gen_bool(0.4) {
+                    Change::delete(live.swap_remove(rng.gen_range(0..live.len())))
+                } else if rng.gen_bool(0.3) {
+                    let f = rng.gen_range(0..2_100u32);
+                    put(&format!("wide/f{f:04}"), &t.to_string())
+                } else {
+                    put(&path, &t.to_string())
+                };
+                // A put that collides with a file or directory bounces;
+                // the history is whatever lands.
+                if let Ok(out) = r.commit("a", "m", t, vec![change]) {
+                    commits.push(out.id);
+                    if r.exists(&path) && !live.contains(&path) {
+                        live.push(path);
+                    }
+                }
+            }
+            assert!(commits.len() > 20, "seed {seed}: too few commits landed");
+            let mut swaps = 0;
+            for _ in 0..80 {
+                let a = commits[rng.gen_range(0..commits.len())];
+                let b = commits[rng.gen_range(0..commits.len())];
+                let (sa, sb) = (r.snapshot(a).unwrap(), r.snapshot(b).unwrap());
+                let mut want: Vec<PathChange> = sa
+                    .keys()
+                    .chain(sb.keys())
+                    .collect::<std::collections::BTreeSet<_>>()
+                    .into_iter()
+                    .filter(|p| sa.get(*p) != sb.get(*p))
+                    .map(|p| PathChange {
+                        path: p.clone(),
+                        old: sa.get(p).copied(),
+                        new: sb.get(p).copied(),
+                    })
+                    .collect();
+                let got = r.diff_commits(a, b).unwrap();
+                // Tree-walk order: by path segments, a file before the
+                // subtree that replaced it.
+                let segments = |c: &PathChange| -> Vec<String> {
+                    c.path.split('/').map(str::to_string).collect()
+                };
+                want.sort_by_key(segments);
+                assert_eq!(got, want, "seed {seed}: {a} vs {b}");
+                swaps += got
+                    .iter()
+                    .filter(|c| {
+                        got.iter()
+                            .any(|d| d.path.starts_with(&format!("{}/", c.path)))
+                    })
+                    .count();
+            }
+            assert!(swaps > 0, "seed {seed}: no file/directory swap was diffed");
+        }
     }
 
     #[test]
