@@ -100,7 +100,6 @@ pub fn run(seed: u64) -> AuditOutcome {
             ensemble_size: 3,
             observers_per_cluster: 1,
             subscriptions: (0..PATHS).map(fleet_path).collect(),
-            ..DeployConfig::default()
         },
     );
     // Carve the Laser tier and a PV storage node out of the proxy pool;

@@ -12,7 +12,8 @@
 //! repro metrics [--seed <n>] [--chaos]
 //!                            # Prometheus-format metrics dump
 //! repro losssweep [--seed <n>]
-//!                            # bytes-on-wire under loss: batched vs baseline
+//!                            # bytes-on-wire and commit→proxy latency at
+//!                            # 0/10/30/50% message drop
 //! repro laser [--seed <n>]   # Laser serving tier: hedged vs unhedged reads
 //! repro canary [--seed <n>]  # fleet rollout pipeline under chaos: staged
 //!                            # canary phases, auto-rollback, drift audit
@@ -51,7 +52,7 @@
 //! `--full` uses the larger scale quoted in `EXPERIMENTS.md`; the default
 //! small scale finishes each experiment in seconds to a couple of minutes.
 
-use bench::{run_experiment, Scale, ALL};
+use bench::{run_experiment, Scale, EXPERIMENTS};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -181,18 +182,15 @@ fn main() {
     match names.first().copied() {
         None | Some("list") => {
             eprintln!("experiments:");
-            for n in ALL {
+            for (n, _) in EXPERIMENTS {
                 eprintln!("  {n}");
             }
             eprintln!("\nusage: repro <name>|all [--full]");
         }
         Some("all") => {
-            for n in ALL {
+            for (n, run) in EXPERIMENTS {
                 banner(n);
-                match run_experiment(n, scale) {
-                    Some(report) => println!("{report}"),
-                    None => eprintln!("unknown experiment: {n}"),
-                }
+                println!("{}", run(scale));
             }
         }
         Some(name) => match run_experiment(name, scale) {

@@ -32,10 +32,11 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
 
 use bytes::Bytes;
-use configerator::canary::HealthPredicate;
 use configerator::landing::{LandingStrip, SourceDiff};
 use configerator::metrics::canary as cnames;
-use configerator::rollout::{land_source_revert, PhaseVerdict, Rollout, RolloutPhase, RolloutSpec};
+use configerator::rollout::{
+    land_source_revert, HealthPredicate, PhaseVerdict, Rollout, RolloutPhase, RolloutSpec,
+};
 use configerator::service::{ConfigeratorService, SOURCE_PREFIX};
 use configerator::tailer::GitTailer;
 use configerator::Mutator;
@@ -285,7 +286,6 @@ fn run_impl(cfg: RunConfig) -> (RunOutcome, Sim) {
         ensemble_size: 5,
         observers_per_cluster: 2,
         subscriptions: (0..NAMES).map(name_of).collect(),
-        ..DeployConfig::default()
     };
     let zeus = ZeusDeployment::install(&mut sim, &dep_cfg);
 

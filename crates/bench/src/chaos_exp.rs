@@ -77,7 +77,6 @@ fn run_scenario_impl(seed: u64, verbose: bool) -> (ScenarioOutcome, Sim) {
         ensemble_size: 5,
         observers_per_cluster: 2,
         subscriptions: (0..PATHS).map(|i| format!("chaos/{i}")).collect(),
-        ..DeployConfig::default()
     };
     let zeus = ZeusDeployment::install(&mut sim, &cfg);
 

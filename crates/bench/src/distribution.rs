@@ -45,7 +45,6 @@ pub fn fig14(scale_servers: usize) -> String {
             ensemble_size: 5,
             observers_per_cluster: 2,
             subscriptions: (0..20).map(|i| format!("cfg/{i}")).collect(),
-            ..DeployConfig::default()
         };
         let zeus = ZeusDeployment::install(&mut sim, &cfg);
         sim.run_for(SimDuration::from_secs(1));
@@ -149,7 +148,6 @@ pub fn pushpull(servers_per_cluster: usize) -> String {
         ensemble_size: 3,
         observers_per_cluster: 2,
         subscriptions: (0..n_configs).map(|i| format!("cfg/{i}")).collect(),
-        ..DeployConfig::default()
     };
     let zeus = ZeusDeployment::install(&mut sim, &cfg);
     sim.run_for(SimDuration::from_secs(1));
@@ -264,7 +262,6 @@ pub fn tree_vs_pv(servers_per_cluster: usize) -> String {
         ensemble_size: 3,
         observers_per_cluster: 1,
         subscriptions: vec!["big".into()],
-        ..DeployConfig::default()
     };
     let zeus = ZeusDeployment::install(&mut sim, &cfg);
     sim.run_for(SimDuration::from_secs(1));

@@ -30,7 +30,6 @@ use packagevessel::storage::{PeerPolicy, StorageActor};
 use simnet::chaos::{run_plan, ChaosConfig, ChaosPlan, Invariant};
 use simnet::prelude::*;
 use zeus::deploy::{DeployConfig, ZeusDeployment};
-use zeus::ensemble::EnsembleConfig;
 
 /// Per-frontend query rates swept (queries per second).
 const QPS: &[u64] = &[40, 160];
@@ -236,7 +235,6 @@ fn install(sim: &mut Sim, qps: u64, hedge: bool) -> Stack {
             ensemble_size: 5,
             observers_per_cluster: 1,
             subscriptions: Vec::new(),
-            ensemble: EnsembleConfig::default(),
         },
     );
     let topo = sim.topology().clone();

@@ -2,8 +2,7 @@
 //!
 //! One module per experiment from the paper's evaluation (see the index in
 //! `DESIGN.md` and the results log in `EXPERIMENTS.md`). The `repro`
-//! binary dispatches to these; the Criterion benches reuse the same
-//! implementations for the measured kernels.
+//! binary dispatches to these.
 
 pub mod audit_exp;
 pub mod bench_json;
@@ -52,101 +51,75 @@ impl Scale {
     }
 }
 
-/// Runs one named experiment and returns its report.
-pub fn run_experiment(name: &str, scale: Scale) -> Option<String> {
-    let s = scale;
-    Some(match name {
-        "fig7" => stats_figs::fig7(s.configs()),
-        "fig8" => stats_figs::fig8(s.configs()),
-        "fig9" => stats_figs::fig9(s.configs()),
-        "fig10" => stats_figs::fig10(s.configs()),
-        "fig11" => stats_figs::fig11(),
-        "fig12" => stats_figs::fig12(),
-        "fig13" => fig13::fig13(s == Scale::Full),
-        "fig14" => distribution::fig14(s.servers_per_cluster()),
-        "fig15" => gatekeeper_exp::fig15(),
-        "table1" => stats_figs::table1(s.configs()),
-        "table2" => stats_figs::table2(s.configs()),
-        "table3" => stats_figs::table3(s.configs()),
-        "headline" => stats_figs::headline(s.configs()),
-        "incidents" => incidents::report(match s {
+/// An experiment's name and the function that runs it at a [`Scale`].
+pub type Experiment = (&'static str, fn(Scale) -> String);
+
+/// Every experiment `repro <name>` runs, in presentation order.
+pub const EXPERIMENTS: &[Experiment] = &[
+    ("fig7", |s| stats_figs::fig7(s.configs())),
+    ("fig8", |s| stats_figs::fig8(s.configs())),
+    ("table1", |s| stats_figs::table1(s.configs())),
+    ("table2", |s| stats_figs::table2(s.configs())),
+    ("table3", |s| stats_figs::table3(s.configs())),
+    ("fig9", |s| stats_figs::fig9(s.configs())),
+    ("fig10", |s| stats_figs::fig10(s.configs())),
+    ("headline", |s| stats_figs::headline(s.configs())),
+    ("fig11", |_| stats_figs::fig11()),
+    ("fig12", |_| stats_figs::fig12()),
+    ("fig13", |s| fig13::fig13(s == Scale::Full)),
+    ("contention", |_| fig13::contention(16, 8)),
+    ("partitioning", |s| {
+        let files = match s {
+            Scale::Small => 40_000,
+            Scale::Full => 150_000,
+        };
+        fig13::partitioning(files, 4, 40)
+    }),
+    ("fig14", |s| distribution::fig14(s.servers_per_cluster())),
+    ("pushpull", |s| {
+        distribution::pushpull(s.servers_per_cluster())
+    }),
+    ("packagevessel", |s| {
+        let package_mb = match s {
+            Scale::Small => 128,
+            Scale::Full => 512,
+        };
+        distribution::packagevessel(s.servers_per_cluster(), package_mb)
+    }),
+    ("tree_vs_pv", |s| {
+        distribution::tree_vs_pv(s.servers_per_cluster().min(100))
+    }),
+    ("fig15", |_| gatekeeper_exp::fig15()),
+    ("gk_opt", |_| gatekeeper_exp::optimizer_ablation()),
+    ("rollout", |_| gatekeeper_exp::rollout()),
+    ("incidents", |s| {
+        incidents::report(match s {
             Scale::Small => 60,
             Scale::Full => 200,
-        }),
-        "pushpull" => distribution::pushpull(s.servers_per_cluster()),
-        "packagevessel" => distribution::packagevessel(
-            s.servers_per_cluster(),
-            match s {
-                Scale::Small => 128,
-                Scale::Full => 512,
-            },
-        ),
-        "tree_vs_pv" => distribution::tree_vs_pv(s.servers_per_cluster().min(100)),
-        "contention" => fig13::contention(16, 8),
-        "partitioning" => fig13::partitioning(
-            match s {
-                Scale::Small => 40_000,
-                Scale::Full => 150_000,
-            },
-            4,
-            40,
-        ),
-        "gk_opt" => gatekeeper_exp::optimizer_ablation(),
-        "rollout" => gatekeeper_exp::rollout(),
-        "mobile" => mobile::bandwidth(200, 30, 10),
-        "canary_timing" => mobile::canary_timing(),
-        "canary" => canary_exp::report(1),
-        "audit" => audit_exp::report(1),
-        "chaos" => chaos_exp::campaign(match s {
+        })
+    }),
+    ("mobile", |_| mobile::bandwidth(200, 30, 10)),
+    ("canary_timing", |_| mobile::canary_timing()),
+    ("canary", |_| canary_exp::report(1)),
+    ("audit", |_| audit_exp::report(1)),
+    ("chaos", |s| {
+        chaos_exp::campaign(match s {
             Scale::Small => 24,
             Scale::Full => 60,
-        }),
-        "losssweep" => loss_exp::losssweep(1),
-        "laser" => laser_exp::laser(1),
-        "compile" => compile_exp::compile(s),
-        "verify" => verify_exp::verify(false),
-        "perf" => perf_exp::perf(false),
-        "fleet" => fleet_exp::fleet(false),
-        "health" => health_exp::report(1),
-        "storm" => storm_exp::report(1),
-        _ => return None,
-    })
-}
-
-/// All experiment names, in presentation order.
-pub const ALL: &[&str] = &[
-    "fig7",
-    "fig8",
-    "table1",
-    "table2",
-    "table3",
-    "fig9",
-    "fig10",
-    "headline",
-    "fig11",
-    "fig12",
-    "fig13",
-    "contention",
-    "partitioning",
-    "fig14",
-    "pushpull",
-    "packagevessel",
-    "tree_vs_pv",
-    "fig15",
-    "gk_opt",
-    "rollout",
-    "incidents",
-    "mobile",
-    "canary_timing",
-    "canary",
-    "audit",
-    "chaos",
-    "losssweep",
-    "laser",
-    "compile",
-    "verify",
-    "perf",
-    "fleet",
-    "health",
-    "storm",
+        })
+    }),
+    ("losssweep", |_| loss_exp::losssweep(1)),
+    ("laser", |_| laser_exp::laser(1)),
+    ("compile", compile_exp::compile),
+    ("verify", |_| verify_exp::verify(false)),
+    ("perf", |_| perf_exp::perf(false)),
+    ("fleet", |_| fleet_exp::fleet(false)),
+    ("health", |_| health_exp::report(1)),
+    ("storm", |_| storm_exp::report(1)),
 ];
+
+/// Runs one named experiment and returns its report.
+pub fn run_experiment(name: &str, scale: Scale) -> Option<String> {
+    let (_, run) = EXPERIMENTS.iter().find(|(n, _)| *n == name)?;
+    Some(run(scale))
+}

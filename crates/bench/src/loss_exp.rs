@@ -1,31 +1,26 @@
-//! `repro losssweep`: bytes-on-wire under sustained message loss —
-//! ack-aware batched retransmission versus the per-write re-broadcast
-//! baseline.
+//! `repro losssweep`: the distribution pipeline under sustained message
+//! loss.
 //!
 //! The heartbeat pacer substitutes for ZAB's FIFO TCP channels on a lossy
 //! network: whatever a drop swallowed is re-sent on the next 50 ms tick.
-//! The pre-batching pacer re-broadcast the **entire uncommitted tail, one
-//! `Append` per write, to every follower — including followers that had
-//! already acknowledged** (O(tail × cluster) per tick), and the leader
-//! pushed one frame per committed write to every observer. The ack-aware
-//! pacer keeps a per-follower cumulative-ack cursor and sends each
-//! follower exactly the writes it is missing, as one `AppendBatch` frame;
-//! commits ship to each observer as one `ObserverUpdateBatch`, and
-//! observers coalesce proxy notifies.
+//! The pacer keeps a per-follower cumulative-ack cursor and sends each
+//! follower exactly the writes it is missing, as `AppendBatch` frames;
+//! commits ship to each observer as `ObserverUpdateBatch` frames,
+//! observers coalesce proxy notifies, and proxies detect lost notifies
+//! through their watch-lease counters.
 //!
-//! Both modes run the same seeded workload at each drop rate — bursty
-//! writes, as a config deployment wave produces, which is exactly where
-//! the in-order commit point stalls and the uncommitted tail grows. The
-//! report compares total bytes-on-wire, frames, retransmitted
-//! (follower, write) pairs, the commit→proxy p50/p99, and how many
-//! sub-runs converged (every proxy holding the final bytes at the
-//! horizon). The output is byte-deterministic per seed
-//! (`scripts/check.sh` runs it twice and diffs).
+//! Each drop rate runs the same seeded workload — bursty writes, as a
+//! config deployment wave produces, which is exactly where the in-order
+//! commit point stalls and the uncommitted tail grows. The report gives
+//! total bytes-on-wire, frames, retransmitted (follower, write) pairs, the
+//! commit→proxy p50/p99, and how many sub-runs converged (every proxy
+//! holding the final bytes at the horizon). The output is
+//! byte-deterministic per seed (`scripts/check.sh` diffs it against a
+//! golden and against a second run).
 
 use simnet::prelude::*;
 use simnet::stats::names as simnames;
 use zeus::deploy::{DeployConfig, ZeusDeployment};
-use zeus::ensemble::EnsembleConfig;
 
 /// Drop rates swept, in percent.
 const DROPS_PCT: &[u32] = &[0, 10, 30, 50];
@@ -41,7 +36,7 @@ const FIRST_BURST_US: u64 = 1_000_000;
 const BURST_PERIOD_US: u64 = 2_000_000;
 /// Settle time after the last burst (lets 50%-drop runs drain).
 const SETTLE_US: u64 = 20_000_000;
-/// Seeded sub-runs merged per (drop, mode) cell: tail percentiles of a
+/// Seeded sub-runs merged per drop rate: tail percentiles of a
 /// single lossy run are dominated by a handful of repair events, so one
 /// seed's p99 is noise. Merging histograms and counters across sub-runs
 /// keeps the output deterministic while measuring something stable.
@@ -64,19 +59,15 @@ fn path(i: usize) -> String {
     format!("loss/{}", i % PATHS)
 }
 
-fn run_once(seed: u64, drop: f64, legacy: bool) -> Metrics {
+fn run_once(seed: u64, drop: f64) -> Metrics {
     let topo = Topology::symmetric(3, 2, 8);
     let mut sim = Sim::new(topo, NetConfig::datacenter(), seed);
     let cfg = DeployConfig {
         ensemble_size: 5,
         observers_per_cluster: 1,
-        // One watched path keeps the (mode-independent) notify fan-out
-        // from drowning the retransmission traffic under measurement.
+        // One watched path keeps the notify fan-out from drowning the
+        // retransmission traffic under measurement.
         subscriptions: vec![path(0)],
-        ensemble: EnsembleConfig {
-            legacy_rebroadcast: legacy,
-            ..EnsembleConfig::default()
-        },
     };
     let zeus = ZeusDeployment::install(&mut sim, &cfg);
     if drop > 0.0 {
@@ -105,11 +96,11 @@ fn run_once(seed: u64, drop: f64, legacy: bool) -> Metrics {
     sim.metrics().clone()
 }
 
-/// Merges `SUBRUNS` seeded runs of one (drop, mode) cell.
-fn run_cell(seed: u64, drop: f64, legacy: bool) -> RunStats {
+/// Merges `SUBRUNS` seeded runs at one drop rate.
+fn run_cell(seed: u64, drop: f64) -> RunStats {
     let mut merged = Metrics::new();
     for sub in 0..SUBRUNS {
-        merged.merge(&run_once(seed + 1000 * sub, drop, legacy));
+        merged.merge(&run_once(seed + 1000 * sub, drop));
     }
     RunStats {
         bytes: merged.counter(simnames::BYTES_SENT),
@@ -138,15 +129,14 @@ fn fmt_p99(p: Option<f64>) -> String {
     }
 }
 
-/// Runs the sweep and renders the comparison table.
+/// Runs the sweep and renders the table, one row per drop rate.
 pub fn losssweep(seed: u64) -> String {
     let mut out = format!(
-        "loss sweep — seed {seed}: ack-aware batched retransmission vs per-write re-broadcast\n\
+        "loss sweep — seed {seed}: ack-aware batched retransmission under sustained message loss\n\
          fleet: 3 regions × 2 clusters × 8 servers; 5-node ensemble, 1 observer/cluster\n\
          workload: {BURSTS} bursts × {BURST} writes ({PAYLOAD} B payloads) over {PATHS} paths\n\n\
-         {:>5}  {:<8} {:>14} {:>9} {:>12} {:>8} {:>10} {:>12} {:>12} {:>10}\n",
+         {:>5} {:>14} {:>9} {:>12} {:>8} {:>10} {:>12} {:>12} {:>10}\n",
         "drop%",
-        "mode",
         "bytes-on-wire",
         "frames",
         "retransmits",
@@ -156,37 +146,20 @@ pub fn losssweep(seed: u64) -> String {
         "commit→p99",
         "converged",
     );
-    let mut summary = String::new();
     for &pct in DROPS_PCT {
-        let drop = pct as f64 / 100.0;
-        let legacy = run_cell(seed, drop, true);
-        let batched = run_cell(seed, drop, false);
-        for (name, r) in [("legacy", &legacy), ("batched", &batched)] {
-            out.push_str(&format!(
-                "{pct:>5}  {name:<8} {:>14} {:>9} {:>12} {:>8} {:>10} {:>12} {:>12} {:>10}\n",
-                fmt_bytes(r.bytes),
-                r.frames,
-                r.retransmit_pairs,
-                r.commits,
-                r.proxy_updates,
-                fmt_p99(r.p50_s),
-                fmt_p99(r.p99_s),
-                format!("{}/{SUBRUNS}", r.converged_runs),
-            ));
-        }
-        let ratio = legacy.bytes as f64 / batched.bytes.max(1) as f64;
-        summary.push_str(&format!(
-            "{pct:>3}% drop: bytes {} → {} ({ratio:.2}× reduction); retransmits {} → {}; p99 {} → {}\n",
-            fmt_bytes(legacy.bytes),
-            fmt_bytes(batched.bytes),
-            legacy.retransmit_pairs,
-            batched.retransmit_pairs,
-            fmt_p99(legacy.p99_s),
-            fmt_p99(batched.p99_s),
+        let r = run_cell(seed, pct as f64 / 100.0);
+        out.push_str(&format!(
+            "{pct:>5} {:>14} {:>9} {:>12} {:>8} {:>10} {:>12} {:>12} {:>10}\n",
+            fmt_bytes(r.bytes),
+            r.frames,
+            r.retransmit_pairs,
+            r.commits,
+            r.proxy_updates,
+            fmt_p99(r.p50_s),
+            fmt_p99(r.p99_s),
+            format!("{}/{SUBRUNS}", r.converged_runs),
         ));
     }
-    out.push('\n');
-    out.push_str(&summary);
     out
 }
 
@@ -194,47 +167,42 @@ pub fn losssweep(seed: u64) -> String {
 mod tests {
     use super::*;
 
+    /// Commit→proxy p50 ceiling at 30% drop: the bulk of writes land within
+    /// a few 50 ms retransmission ticks (0.172 s measured at seed 7).
+    const P50_BOUND_30_PCT_S: f64 = 0.25;
+    /// Commit→proxy p99 ceiling at 30% drop: the tail is a handful of
+    /// 500 ms healthcheck rounds of lease-counter detection and repair
+    /// (2.884 s measured at seed 7).
+    const P99_BOUND_30_PCT_S: f64 = 4.0;
+
     #[test]
-    fn batched_mode_halves_bytes_at_30_pct_drop() {
-        let legacy = run_cell(7, 0.30, true);
-        let batched = run_cell(7, 0.30, false);
-        assert!(
-            legacy.bytes as f64 >= 2.0 * batched.bytes as f64,
-            "expected ≥2× bytes reduction at 30% drop: legacy={} batched={}",
-            legacy.bytes,
-            batched.bytes
-        );
-        // Delivery must not regress. The batched pipeline lands
-        // cache-changing proxy updates, commits at least as much, every
-        // sub-run converges (all proxies hold the final bytes at the
-        // horizon — repair closed every gap the drops opened), and bulk
-        // latency stays at par. The tail is bounded but NOT held to
-        // parity: the legacy baseline re-subscribes unconditionally on
-        // every healthcheck (an always-on repair probe), while the lease
-        // protocol repairs on counter-shortfall detection — under 30%
-        // sustained drop that detection handshake costs extra lossy round
-        // trips at the extreme tail, the accepted price for eliminating
-        // the per-check subscribe storm from the healthy-fleet hot path.
-        assert!(batched.proxy_updates > 0);
-        assert!(batched.commits >= legacy.commits);
-        assert_eq!(
-            batched.converged_runs, SUBRUNS,
-            "batched sub-runs left a proxy behind"
-        );
-        assert_eq!(
-            legacy.converged_runs, SUBRUNS,
-            "legacy sub-runs left a proxy behind"
-        );
-        let (lp50, bp50) = (legacy.p50_s.unwrap(), batched.p50_s.unwrap());
-        assert!(
-            bp50 <= lp50 * 1.25,
-            "commit→proxy p50 regressed: legacy={lp50:.3}s batched={bp50:.3}s"
-        );
-        let (lp, bp) = (legacy.p99_s.unwrap(), batched.p99_s.unwrap());
-        assert!(
-            bp <= lp * 2.0,
-            "commit→proxy p99 blew past the detection-repair bound: legacy={lp:.3}s batched={bp:.3}s"
-        );
+    fn delivery_holds_up_to_30_pct_drop() {
+        // 50% drop is reported by the sweep but not required to converge
+        // inside the horizon.
+        for pct in [0u32, 10, 30] {
+            let r = run_cell(7, pct as f64 / 100.0);
+            assert_eq!(
+                r.converged_runs, SUBRUNS,
+                "{pct}% drop: a sub-run left a proxy behind"
+            );
+            assert_eq!(
+                r.commits,
+                SUBRUNS * (BURSTS * BURST) as u64,
+                "{pct}% drop: writes left uncommitted"
+            );
+            assert!(r.proxy_updates > 0);
+            if pct == 30 {
+                let (p50, p99) = (r.p50_s.unwrap(), r.p99_s.unwrap());
+                assert!(
+                    p50 <= P50_BOUND_30_PCT_S,
+                    "commit→proxy p50 at 30% drop: {p50:.3}s"
+                );
+                assert!(
+                    p99 <= P99_BOUND_30_PCT_S,
+                    "commit→proxy p99 at 30% drop: {p99:.3}s"
+                );
+            }
+        }
     }
 
     #[test]

@@ -161,7 +161,6 @@ fn run_pipeline(seed: u64, chaos: bool) -> Sim {
         ensemble_size: 5,
         observers_per_cluster: 2,
         subscriptions: (0..PATHS).map(dist_name).collect(),
-        ..DeployConfig::default()
     };
     let zeus = ZeusDeployment::install(&mut sim, &cfg);
 

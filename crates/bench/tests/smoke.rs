@@ -3,7 +3,7 @@
 //! (fig13/fig14/packagevessel/partitioning) are exercised by `repro`
 //! itself and kept out of the test suite for time.
 
-use bench::{run_experiment, Scale, ALL};
+use bench::{run_experiment, Scale, EXPERIMENTS};
 
 fn run(name: &str) -> String {
     run_experiment(name, Scale::Small).expect("known experiment")
@@ -71,9 +71,15 @@ fn mobile_bandwidth() {
 #[test]
 fn unknown_experiment_is_none() {
     assert!(run_experiment("nope", Scale::Small).is_none());
-    // Every listed name resolves (cheap ones actually run above; this only
-    // checks the registry is total — not executed here).
-    for n in ALL {
-        assert!(ALL.contains(n));
+}
+
+#[test]
+fn experiment_names_are_unique() {
+    // `run_experiment` takes the first entry with a matching name, so every
+    // listed name resolves to its own entry exactly when no name repeats.
+    // Nothing is run here; the cheap experiments run above.
+    for (i, (name, _)) in EXPERIMENTS.iter().enumerate() {
+        let first = EXPERIMENTS.iter().position(|(n, _)| n == name);
+        assert_eq!(first, Some(i), "{name} is listed twice");
     }
 }

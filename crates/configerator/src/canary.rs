@@ -20,6 +20,9 @@
 //! cluster").
 
 use crate::metrics::health;
+use crate::rollout::{
+    HealthPredicate, PhaseOutcome, PhaseVerdict, Rollout, RolloutPhase, RolloutSpec, RolloutVerdict,
+};
 use std::collections::HashMap;
 
 use rand::rngs::SmallRng;
@@ -42,66 +45,6 @@ pub trait FleetModel {
         deployed_fraction: f64,
         metric: &str,
     ) -> f64;
-}
-
-/// A pass/fail predicate over canary-vs-control metric means.
-#[derive(Debug, Clone, PartialEq)]
-pub enum HealthPredicate {
-    /// Canary mean must not exceed control mean by more than this relative
-    /// fraction (e.g. error rates, latency).
-    MaxRelativeIncrease {
-        /// Metric name.
-        metric: String,
-        /// Allowed relative increase (0.05 = 5%).
-        limit: f64,
-    },
-    /// Canary mean must not fall below control mean by more than this
-    /// relative fraction (e.g. the paper's CTR example).
-    MaxRelativeDecrease {
-        /// Metric name.
-        metric: String,
-        /// Allowed relative decrease.
-        limit: f64,
-    },
-    /// Canary mean must stay under an absolute ceiling.
-    MaxAbsolute {
-        /// Metric name.
-        metric: String,
-        /// Ceiling.
-        limit: f64,
-    },
-}
-
-impl HealthPredicate {
-    /// The metric this predicate reads.
-    pub fn metric(&self) -> &str {
-        match self {
-            HealthPredicate::MaxRelativeIncrease { metric, .. }
-            | HealthPredicate::MaxRelativeDecrease { metric, .. }
-            | HealthPredicate::MaxAbsolute { metric, .. } => metric,
-        }
-    }
-
-    /// Evaluates the predicate given canary and control means.
-    pub fn holds(&self, canary_mean: f64, control_mean: f64) -> bool {
-        match self {
-            HealthPredicate::MaxRelativeIncrease { limit, .. } => {
-                if control_mean.abs() < f64::EPSILON {
-                    canary_mean <= *limit
-                } else {
-                    (canary_mean - control_mean) / control_mean.abs() <= *limit
-                }
-            }
-            HealthPredicate::MaxRelativeDecrease { limit, .. } => {
-                if control_mean.abs() < f64::EPSILON {
-                    true
-                } else {
-                    (control_mean - canary_mean) / control_mean.abs() <= *limit
-                }
-            }
-            HealthPredicate::MaxAbsolute { limit, .. } => canary_mean <= *limit,
-        }
-    }
 }
 
 /// One canary phase.
@@ -162,22 +105,11 @@ impl CanarySpec {
     }
 }
 
-/// Result of one phase.
-#[derive(Debug, Clone)]
-pub struct PhaseResult {
-    /// Phase name.
-    pub name: String,
-    /// Whether every predicate held.
-    pub passed: bool,
-    /// Per-predicate detail: (metric, canary mean, control mean, held).
-    pub details: Vec<(String, f64, f64, bool)>,
-}
-
 /// Outcome of a full canary run.
 #[derive(Debug, Clone)]
 pub struct CanaryOutcome {
     /// Results of the phases that ran.
-    pub phases: Vec<PhaseResult>,
+    pub phases: Vec<PhaseOutcome>,
     /// Whether the config may proceed to full deployment.
     pub passed: bool,
 }
@@ -191,64 +123,64 @@ impl CanaryService {
     /// `servers` machines run the new config while an equal-sized control
     /// group keeps the old one; predicate failures abort the run (the
     /// automatic rollback of §3.3 — the config never proceeds).
+    ///
+    /// The verdicts are [`Rollout`]'s; this only draws every sample a
+    /// phase asks for, synchronously, and ticks once per phase.
     pub fn run(
         &self,
         spec: &CanarySpec,
         config: &str,
         fleet: &mut dyn FleetModel,
     ) -> CanaryOutcome {
+        if spec.phases.is_empty() {
+            // Nothing to test (and `Rollout` requires a phase).
+            return CanaryOutcome {
+                phases: Vec::new(),
+                passed: true,
+            };
+        }
         let total = fleet.num_servers();
-        let mut phases = Vec::new();
+        let cohort = |phase: &CanaryPhase| phase.servers.min(total / 2).max(1);
+        let gates = spec.phases.iter().map(|phase| RolloutPhase {
+            name: phase.name.clone(),
+            // The floor is exactly what the loop below draws (and never
+            // zero: a phase without samples must not promote).
+            min_samples: (cohort(phase) * phase.samples_per_server).max(1) as u64,
+            predicates: phase.predicates.clone(),
+        });
+        let mut rollout = Rollout::new(
+            "canary",
+            RolloutSpec {
+                phases: gates.collect(),
+            },
+        );
         for phase in &spec.phases {
-            let n = phase.servers.min(total / 2).max(1);
+            let n = cohort(phase);
             let deployed_fraction = n as f64 / total as f64;
-            let mut canary_means: HashMap<&str, f64> = HashMap::new();
-            let mut control_means: HashMap<&str, f64> = HashMap::new();
+            let mut sampled: Vec<&str> = Vec::new();
             for pred in &phase.predicates {
                 let metric = pred.metric();
-                if canary_means.contains_key(metric) {
+                if sampled.contains(&metric) {
                     continue;
                 }
-                let mut csum = 0.0;
-                let mut xsum = 0.0;
-                let mut count = 0usize;
+                sampled.push(metric);
                 for s in 0..n {
                     for _ in 0..phase.samples_per_server {
-                        csum += fleet.sample(s, Some(config), deployed_fraction, metric);
+                        let c = fleet.sample(s, Some(config), deployed_fraction, metric);
+                        rollout.record_canary(metric, c);
                         // Control group: servers from the other end.
-                        xsum += fleet.sample(total - 1 - s, None, deployed_fraction, metric);
-                        count += 1;
+                        let x = fleet.sample(total - 1 - s, None, deployed_fraction, metric);
+                        rollout.record_control(metric, x);
                     }
                 }
-                canary_means.insert(metric, csum / count as f64);
-                control_means.insert(metric, xsum / count as f64);
             }
-            let mut details = Vec::new();
-            let mut passed = true;
-            for pred in &phase.predicates {
-                let m = pred.metric();
-                let c = canary_means[m];
-                let x = control_means[m];
-                let held = pred.holds(c, x);
-                passed &= held;
-                details.push((m.to_string(), c, x, held));
-            }
-            let phase_passed = passed;
-            phases.push(PhaseResult {
-                name: phase.name.clone(),
-                passed: phase_passed,
-                details,
-            });
-            if !phase_passed {
-                return CanaryOutcome {
-                    phases,
-                    passed: false,
-                };
+            if rollout.tick() != PhaseVerdict::Promote {
+                break;
             }
         }
         CanaryOutcome {
-            phases,
-            passed: true,
+            passed: rollout.done == Some(RolloutVerdict::Promoted),
+            phases: rollout.outcomes,
         }
     }
 }
@@ -349,7 +281,7 @@ mod tests {
         let out = CanaryService.run(&spec, "{\"mode\":\"bad\"}", &mut fleet);
         assert!(!out.passed);
         assert_eq!(out.phases.len(), 1, "aborted in phase 1");
-        assert!(!out.phases[0].passed);
+        assert_eq!(out.phases[0].verdict, PhaseVerdict::Rollback);
         // A good config with the same fleet still passes.
         let ok = CanaryService.run(&spec, "{\"mode\":\"good\"}", &mut fleet);
         assert!(ok.passed);
@@ -381,8 +313,8 @@ mod tests {
         let out = CanaryService.run(&full, "{\"use\":\"rare_path\"}", &mut make_fleet());
         assert!(!out.passed, "cluster-scale phase must catch the load issue");
         assert_eq!(out.phases.len(), 2);
-        assert!(out.phases[0].passed);
-        assert!(!out.phases[1].passed);
+        assert_eq!(out.phases[0].verdict, PhaseVerdict::Promote);
+        assert_eq!(out.phases[1].verdict, PhaseVerdict::Rollback);
     }
 
     #[test]
@@ -398,6 +330,44 @@ mod tests {
         let spec = CanarySpec::standard(500);
         let out = CanaryService.run(&spec, "{\"theme\":\"ugly_ui\"}", &mut fleet);
         assert!(!out.passed, "40% CTR drop exceeds the 10% allowance");
+    }
+
+    #[test]
+    fn run_matches_a_hand_fed_rollout() {
+        // Same seed and the same draw order (per metric, server by server,
+        // canary then control) must give bit-identical means: the service
+        // adds no verdict logic of its own to `Rollout`'s.
+        let spec = CanarySpec {
+            phases: vec![CanarySpec::standard(2000).phases[0].clone()],
+        };
+        let config = "{\"v\":1}";
+        let out = CanaryService.run(&spec, config, &mut SyntheticFleet::new(400, 9));
+
+        let phase = &spec.phases[0];
+        let mut fleet = SyntheticFleet::new(400, 9);
+        let mut by_hand = Rollout::new(
+            "by-hand",
+            RolloutSpec {
+                phases: vec![RolloutPhase {
+                    name: phase.name.clone(),
+                    min_samples: (phase.servers * phase.samples_per_server) as u64,
+                    predicates: phase.predicates.clone(),
+                }],
+            },
+        );
+        let fraction = phase.servers as f64 / 400.0;
+        for pred in &phase.predicates {
+            let m = pred.metric();
+            for s in 0..phase.servers {
+                for _ in 0..phase.samples_per_server {
+                    by_hand.record_canary(m, fleet.sample(s, Some(config), fraction, m));
+                    by_hand.record_control(m, fleet.sample(399 - s, None, fraction, m));
+                }
+            }
+        }
+        assert_eq!(by_hand.tick(), PhaseVerdict::Promote);
+        assert!(out.passed);
+        assert_eq!(out.phases[0].details, by_hand.outcomes[0].details);
     }
 
     #[test]

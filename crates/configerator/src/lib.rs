@@ -8,11 +8,11 @@
 //! * [`service`] — the config repository: sources + compiled JSON in one
 //!   commit, the compiler pipeline, and the dependency service.
 //! * [`review`] — Phabricator-style code review and Sandcastle CI.
-//! * [`canary`] — the automated canary service with phased testing,
-//!   healthcheck predicates, and automatic rollback.
-//! * [`rollout`] — the fleet-integrated rollout state machine: phase-gated
-//!   blast radius, incremental cohort-health verdicts, and the durable
-//!   mutator-landed revert path.
+//! * [`canary`] — the automated canary service: phased specs run against
+//!   a fleet model, with [`rollout`] deciding every phase.
+//! * [`rollout`] — the one phase/verdict engine: healthcheck predicates,
+//!   incremental cohort-health verdicts, the phase-gated rollout state
+//!   machine, and the durable mutator-landed revert path.
 //! * [`landing`] — the landing strip that serializes commits and rejects
 //!   only true conflicts (§3.6).
 //! * [`tailer`] — the git tailer extracting committed config changes for

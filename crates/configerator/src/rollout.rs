@@ -1,14 +1,14 @@
 //! Fleet-integrated safe rollout: the phase-gated state machine behind the
 //! canary pipeline, plus the durable revert path.
 //!
-//! [`crate::canary`] models the *verdict logic* of §3.3 against a
-//! synthetic fleet sampled in-process. This module is the piece that lets
-//! the same verdict logic gate a *real* (simulated) fleet: health samples
-//! trickle in from canary and control cohorts as the distribution tier
-//! actually delivers the staged artifact, so evaluation has to be
-//! incremental — a phase cannot decide anything until both cohorts have
-//! produced enough samples, and a crashed cohort simply keeps the phase in
-//! [`PhaseVerdict::Wait`] rather than promoting or wedging a bad verdict.
+//! This is the verdict logic of §3.3, and the only copy of it. It has to
+//! gate a *real* (simulated) fleet, where health samples trickle in from
+//! canary and control cohorts as the distribution tier actually delivers
+//! the staged artifact, so evaluation is incremental — a phase cannot
+//! decide anything until both cohorts have produced enough samples, and a
+//! crashed cohort simply keeps the phase in [`PhaseVerdict::Wait`] rather
+//! than promoting or wedging a bad verdict. [`crate::canary`] drives the
+//! same machine synchronously over a fleet model sampled in-process.
 //!
 //! The rollback half is durable: "If the canary test fails, the canary
 //! service rolls back the config change by updating the git repository"
@@ -20,9 +20,68 @@
 use crate::metrics::health;
 use std::collections::BTreeMap;
 
-use crate::canary::HealthPredicate;
 use crate::mutator::Mutator;
 use crate::service::{CommitReport, ConfigeratorService, ServiceError, RAW_PREFIX, SOURCE_PREFIX};
+
+/// A pass/fail predicate over canary-vs-control metric means.
+#[derive(Debug, Clone, PartialEq)]
+pub enum HealthPredicate {
+    /// Canary mean must not exceed control mean by more than this relative
+    /// fraction (e.g. error rates, latency).
+    MaxRelativeIncrease {
+        /// Metric name.
+        metric: String,
+        /// Allowed relative increase (0.05 = 5%).
+        limit: f64,
+    },
+    /// Canary mean must not fall below control mean by more than this
+    /// relative fraction (e.g. the paper's CTR example).
+    MaxRelativeDecrease {
+        /// Metric name.
+        metric: String,
+        /// Allowed relative decrease.
+        limit: f64,
+    },
+    /// Canary mean must stay under an absolute ceiling.
+    MaxAbsolute {
+        /// Metric name.
+        metric: String,
+        /// Ceiling.
+        limit: f64,
+    },
+}
+
+impl HealthPredicate {
+    /// The metric this predicate reads.
+    pub fn metric(&self) -> &str {
+        match self {
+            HealthPredicate::MaxRelativeIncrease { metric, .. }
+            | HealthPredicate::MaxRelativeDecrease { metric, .. }
+            | HealthPredicate::MaxAbsolute { metric, .. } => metric,
+        }
+    }
+
+    /// Evaluates the predicate given canary and control means.
+    pub fn holds(&self, canary_mean: f64, control_mean: f64) -> bool {
+        match self {
+            HealthPredicate::MaxRelativeIncrease { limit, .. } => {
+                if control_mean.abs() < f64::EPSILON {
+                    canary_mean <= *limit
+                } else {
+                    (canary_mean - control_mean) / control_mean.abs() <= *limit
+                }
+            }
+            HealthPredicate::MaxRelativeDecrease { limit, .. } => {
+                if control_mean.abs() < f64::EPSILON {
+                    true
+                } else {
+                    (control_mean - canary_mean) / control_mean.abs() <= *limit
+                }
+            }
+            HealthPredicate::MaxAbsolute { limit, .. } => canary_mean <= *limit,
+        }
+    }
+}
 
 /// One phase of a fleet rollout: a named blast radius plus the predicates
 /// and sample floor that gate promotion past it.

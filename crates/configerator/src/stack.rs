@@ -15,6 +15,7 @@ use crate::canary::{CanaryOutcome, CanaryService, CanarySpec, FleetModel};
 use crate::landing::{LandError, LandingStrip, SourceDiff};
 use crate::review::{Phabricator, ReviewError, ReviewPolicy, Sandcastle};
 use crate::risk::{RiskAssessment, RiskModel};
+use crate::rollout::PhaseVerdict;
 use crate::service::{CommitReport, ConfigeratorService};
 use crate::tailer::{ConfigUpdate, GitTailer};
 
@@ -41,7 +42,7 @@ impl std::fmt::Display for ShipError {
                 let failed = o
                     .phases
                     .iter()
-                    .find(|p| !p.passed)
+                    .find(|p| p.verdict == PhaseVerdict::Rollback)
                     .map(|p| p.name.as_str())
                     .unwrap_or("?");
                 write!(f, "canary failed in {failed}")

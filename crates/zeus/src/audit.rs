@@ -210,7 +210,6 @@ mod tests {
             ensemble_size: 3,
             observers_per_cluster: 2,
             subscriptions: (0..3).map(|i| format!("audit/{i}")).collect(),
-            ..DeployConfig::default()
         };
         let zeus = ZeusDeployment::install(&mut sim, &cfg);
         sim.run_for(SimDuration::from_secs(1));

@@ -7,7 +7,7 @@
 use bytes::Bytes;
 use simnet::{NodeId, Sim, SimTime, TraceCtx};
 
-use crate::ensemble::{EnsembleActor, EnsembleConfig};
+use crate::ensemble::EnsembleActor;
 use crate::metrics::WRITES_UNROUTABLE;
 use crate::observer::ObserverActor;
 use crate::proxy::{ProxyActor, ProxyCmd};
@@ -22,8 +22,6 @@ pub struct DeployConfig {
     pub observers_per_cluster: usize,
     /// Paths every proxy subscribes to at start.
     pub subscriptions: Vec<String>,
-    /// Ensemble protocol tuning.
-    pub ensemble: EnsembleConfig,
 }
 
 impl Default for DeployConfig {
@@ -32,7 +30,6 @@ impl Default for DeployConfig {
             ensemble_size: 5,
             observers_per_cluster: 2,
             subscriptions: Vec::new(),
-            ensemble: EnsembleConfig::default(),
         }
     }
 }
@@ -114,7 +111,6 @@ impl ZeusDeployment {
             sim.add_actor(
                 node,
                 Box::new(EnsembleActor::new(
-                    cfg.ensemble.clone(),
                     ensemble.clone(),
                     observers.clone(),
                     node,
@@ -122,16 +118,9 @@ impl ZeusDeployment {
                 )),
             );
         }
-        // Install observers. The legacy flag rides along so the losssweep
-        // baseline degrades the whole pipeline, not just the ensemble tier.
+        // Install observers.
         for &node in &observers {
-            sim.add_actor(
-                node,
-                Box::new(
-                    ObserverActor::new(leader, cfg.ensemble.log_cap)
-                        .with_legacy_notify(cfg.ensemble.legacy_rebroadcast),
-                ),
-            );
+            sim.add_actor(node, Box::new(ObserverActor::new(leader)));
         }
         // Install proxies everywhere else.
         let mut proxies = Vec::new();
@@ -143,10 +132,7 @@ impl ZeusDeployment {
             let local_observers = observers_by_cluster[cluster.0 as usize].clone();
             sim.add_actor(
                 node,
-                Box::new(
-                    ProxyActor::new(local_observers, cfg.subscriptions.clone())
-                        .with_legacy(cfg.ensemble.legacy_rebroadcast),
-                ),
+                Box::new(ProxyActor::new(local_observers, cfg.subscriptions.clone())),
             );
             proxies.push(node);
         }

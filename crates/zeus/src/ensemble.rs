@@ -29,7 +29,7 @@ use crate::metrics::{hops, APPEND_RETRANSMITS, COMMITS, DROPPED_PROPOSALS, LEADE
 use crate::metrics::{LEADER_STEPDOWNS, REPROPOSED_ON_ELECTION, SYNC_REDIRECTS};
 use crate::store::ConfigStore;
 use crate::types::{adaptive_batch_size, batch_traces, batch_wire_size, Write, ZeusMsg, Zxid};
-use crate::types::{MAX_BATCH_WRITES, MIN_LOSS_SAMPLES};
+use crate::types::{ELECTION_TIMEOUT, HEARTBEAT, LOG_CAP, MAX_BATCH_WRITES, MIN_LOSS_SAMPLES};
 
 /// Timer tag for the leader heartbeat. Election timers use a per-node
 /// generation counter (1, 2, 3, ...) as their tag instead of a fixed value:
@@ -37,35 +37,6 @@ use crate::types::{MAX_BATCH_WRITES, MIN_LOSS_SAMPLES};
 /// retires its election chain when it becomes leader (and how a deposed
 /// leader starts a fresh chain without racing a stale one).
 const TIMER_HEARTBEAT: u64 = 0;
-
-/// Tuning knobs for the ensemble protocol.
-#[derive(Debug, Clone)]
-pub struct EnsembleConfig {
-    /// Leader heartbeat period.
-    pub heartbeat: SimDuration,
-    /// Base election timeout (randomized up to 2x).
-    pub election_timeout: SimDuration,
-    /// Writes retained for catch-up responses.
-    pub log_cap: usize,
-    /// Pre-batching baseline for A/B measurement (`repro losssweep`): the
-    /// heartbeat pacer re-broadcasts the entire uncommitted tail, one
-    /// `Append` frame per write, to every follower — acked or not — and
-    /// the leader pushes one frame per committed write to each observer
-    /// (with observers notifying proxies one frame per path). Leave off
-    /// for the ack-aware, batched behavior.
-    pub legacy_rebroadcast: bool,
-}
-
-impl Default for EnsembleConfig {
-    fn default() -> EnsembleConfig {
-        EnsembleConfig {
-            heartbeat: SimDuration::from_millis(50),
-            election_timeout: SimDuration::from_millis(400),
-            log_cap: 100_000,
-            legacy_rebroadcast: false,
-        }
-    }
-}
 
 /// Per-follower transmission counters feeding the loss estimate.
 ///
@@ -94,7 +65,6 @@ enum Role {
 /// One member of the Zeus ensemble (leader or follower, depending on
 /// elections).
 pub struct EnsembleActor {
-    cfg: EnsembleConfig,
     peers: Vec<NodeId>,
     observers: Vec<NodeId>,
     role: Role,
@@ -143,7 +113,6 @@ impl EnsembleActor {
     /// Creates an ensemble member. `initial_leader` bootstraps epoch 1
     /// without an election (as when the ensemble is first deployed).
     pub fn new(
-        cfg: EnsembleConfig,
         peers: Vec<NodeId>,
         observers: Vec<NodeId>,
         me: NodeId,
@@ -151,8 +120,7 @@ impl EnsembleActor {
     ) -> EnsembleActor {
         let is_leader = me == initial_leader;
         EnsembleActor {
-            store: ConfigStore::new(cfg.log_cap),
-            cfg,
+            store: ConfigStore::new(LOG_CAP),
             peers,
             observers,
             role: if is_leader {
@@ -366,11 +334,9 @@ impl EnsembleActor {
     /// Starts a fresh election-timer chain, retiring any previous one.
     fn arm_election(&mut self, ctx: &mut Ctx<'_>) {
         self.election_gen += 1;
-        let jitter = ctx
-            .rng()
-            .gen_range(0..=self.cfg.election_timeout.as_micros());
+        let jitter = ctx.rng().gen_range(0..=ELECTION_TIMEOUT.as_micros());
         ctx.set_timer(
-            self.cfg.election_timeout + SimDuration::from_micros(jitter),
+            ELECTION_TIMEOUT + SimDuration::from_micros(jitter),
             self.election_gen,
         );
     }
@@ -414,7 +380,7 @@ impl EnsembleActor {
             ctx.send_value(o, 64, msg.clone());
         }
         self.send_heartbeat(ctx);
-        ctx.set_timer(self.cfg.heartbeat, TIMER_HEARTBEAT);
+        ctx.set_timer(HEARTBEAT, TIMER_HEARTBEAT);
         // Reconciliation: entries this node appended but never saw commit
         // may or may not have reached a quorum under the old leader. Either
         // way the only safe path is to re-propose them under the new epoch;
@@ -560,34 +526,16 @@ impl EnsembleActor {
             }
             if !batch.is_empty() {
                 for &o in &self.observers.clone() {
-                    if self.cfg.legacy_rebroadcast {
-                        // Baseline: one frame per committed write, asserting
-                        // completeness only up to itself — exactly the
-                        // information the pre-batching per-write push
-                        // carried.
-                        for w in &batch {
-                            ctx.send_traced_batch(
-                                o,
-                                batch_wire_size(std::slice::from_ref(w)),
-                                Box::new(ZeusMsg::ObserverUpdateBatch {
-                                    writes: vec![w.clone()],
-                                    upto: w.zxid,
-                                }),
-                                batch_traces(std::slice::from_ref(w)),
-                            );
-                        }
-                    } else {
-                        for chunk in batch.chunks(MAX_BATCH_WRITES) {
-                            ctx.send_traced_batch(
-                                o,
-                                batch_wire_size(chunk),
-                                Box::new(ZeusMsg::ObserverUpdateBatch {
-                                    writes: chunk.to_vec(),
-                                    upto: new_commit,
-                                }),
-                                batch_traces(chunk),
-                            );
-                        }
+                    for chunk in batch.chunks(MAX_BATCH_WRITES) {
+                        ctx.send_traced_batch(
+                            o,
+                            batch_wire_size(chunk),
+                            Box::new(ZeusMsg::ObserverUpdateBatch {
+                                writes: chunk.to_vec(),
+                                upto: new_commit,
+                            }),
+                            batch_traces(chunk),
+                        );
                     }
                 }
             }
@@ -650,24 +598,6 @@ impl EnsembleActor {
                     batch_traces(chunk),
                 );
             }
-        }
-    }
-
-    /// Pre-batching baseline (`legacy_rebroadcast`): the whole pending tail
-    /// goes to every follower, one `Append` frame per write, acked or not.
-    /// Kept so `repro losssweep` can measure the bytes the targeted path
-    /// saves. `APPEND_RETRANSMITS` counts (follower, write) pairs here too,
-    /// so the two modes are comparable.
-    fn retransmit_blanket(&mut self, ctx: &mut Ctx<'_>, pending: &[Write]) {
-        let fanout = (self.peers.len() - 1) as u64;
-        ctx.metrics()
-            .incr(APPEND_RETRANSMITS, pending.len() as u64 * fanout);
-        for w in pending {
-            if let Some(t) = w.trace {
-                ctx.trace_annot(t, hops::RETRANSMIT, vec![("zxid", w.zxid.to_string())]);
-            }
-            let size = w.wire_size();
-            self.broadcast(ctx, &ZeusMsg::Append { write: w.clone() }, size);
         }
     }
 
@@ -910,7 +840,7 @@ impl Actor for EnsembleActor {
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         if self.role == Role::Leader {
-            ctx.set_timer(self.cfg.heartbeat, TIMER_HEARTBEAT);
+            ctx.set_timer(HEARTBEAT, TIMER_HEARTBEAT);
         } else {
             self.arm_election(ctx);
         }
@@ -941,13 +871,9 @@ impl Actor for EnsembleActor {
                     .map(|(_, w)| w.clone())
                     .collect();
                 if !pending.is_empty() {
-                    if self.cfg.legacy_rebroadcast {
-                        self.retransmit_blanket(ctx, &pending);
-                    } else {
-                        self.retransmit_targeted(ctx, &pending);
-                    }
+                    self.retransmit_targeted(ctx, &pending);
                 }
-                ctx.set_timer(self.cfg.heartbeat, TIMER_HEARTBEAT);
+                ctx.set_timer(HEARTBEAT, TIMER_HEARTBEAT);
             }
             return;
         }
@@ -977,11 +903,9 @@ impl Actor for EnsembleActor {
                 return;
             }
         }
-        let jitter = ctx
-            .rng()
-            .gen_range(0..=self.cfg.election_timeout.as_micros());
+        let jitter = ctx.rng().gen_range(0..=ELECTION_TIMEOUT.as_micros());
         ctx.set_timer(
-            self.cfg.election_timeout + SimDuration::from_micros(jitter),
+            ELECTION_TIMEOUT + SimDuration::from_micros(jitter),
             self.election_gen,
         );
     }

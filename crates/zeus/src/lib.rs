@@ -35,7 +35,6 @@
 //!     ensemble_size: 3,
 //!     observers_per_cluster: 2,
 //!     subscriptions: vec!["app/x.json".to_string()],
-//!     ..DeployConfig::default()
 //! };
 //! let zeus = ZeusDeployment::install(&mut sim, &cfg);
 //! sim.run_for(SimDuration::from_secs(1));
@@ -59,7 +58,7 @@ pub mod types;
 
 pub use audit::{audit_proxies, repair, CanonicalSet, DriftFinding, DriftKind};
 pub use deploy::{DeployConfig, ZeusDeployment};
-pub use ensemble::{EnsembleActor, EnsembleConfig};
+pub use ensemble::EnsembleActor;
 pub use invariants::{DiskCacheAvailability, MonotonicApplies, NoAckedWriteLost, ProxyConvergence};
 pub use observer::ObserverActor;
 pub use proxy::{DiskCache, ProxyActor, ProxyCmd};

@@ -24,10 +24,8 @@ pub const TRUNCATED_UNCOMMITTED: &str = "zeus.truncated_uncommitted";
 /// Writes re-proposed by a new leader after election.
 pub const REPROPOSED_ON_ELECTION: &str = "zeus.reproposed_on_election";
 /// (follower, write) pairs actually retransmitted by the heartbeat pacer:
-/// each unit is one pending write re-sent to one specific follower. The
-/// ack-aware pacer only counts followers whose cumulative ack misses the
-/// write; the legacy blanket re-broadcast counts every follower, so the two
-/// modes are directly comparable in `repro losssweep`.
+/// each unit is one pending write re-sent to one specific follower, and
+/// only followers whose cumulative ack misses the write are counted.
 pub const APPEND_RETRANSMITS: &str = "zeus.append_retransmits";
 /// Observer-applied committed writes.
 pub const OBSERVER_APPLIED: &str = "zeus.observer_applied";

@@ -18,7 +18,7 @@ use crate::metrics::{
 };
 use crate::store::{ConfigStore, WatchTable};
 use crate::types::{
-    batch_traces, batch_wire_size, control_wire, NotifyFrame, Write, ZeusMsg, Zxid,
+    batch_traces, batch_wire_size, control_wire, NotifyFrame, Write, ZeusMsg, Zxid, LOG_CAP,
     MAX_BATCH_WRITES,
 };
 
@@ -71,10 +71,6 @@ pub struct ObserverActor {
     /// `store.last_applied()`, which moves past holes and would hide a
     /// dropped update from every later catch-up request.
     contig: Zxid,
-    /// Pre-batching baseline (`repro losssweep`): notify proxies one
-    /// `Notify` frame per changed path instead of one coalesced
-    /// `NotifyBatch` frame per proxy.
-    legacy_notify: bool,
     /// When the last sync request went out, if unanswered. Gap detections
     /// while a sync is already in flight do not issue another request:
     /// every chunk of a push round carries the same commit head, so an
@@ -103,8 +99,8 @@ pub struct ObserverActor {
     /// so replay determinism is untouched.
     leases: FxHashMap<NodeId, Lease>,
     /// Idle time after which the anti-entropy sweep expires a lease. Only
-    /// leased watchers expire: laser servers and legacy proxies never
-    /// establish one, so they keep today's semantics.
+    /// leased watchers expire: laser servers and MobileConfig populations
+    /// never establish one, so they keep their watches.
     lease_ttl: SimDuration,
     /// How long a sent frame may be in flight before its absence from the
     /// watcher's counter means loss (just above the worst one-way
@@ -114,14 +110,13 @@ pub struct ObserverActor {
 
 impl ObserverActor {
     /// Creates an observer that syncs from `leader`.
-    pub fn new(leader: NodeId, log_cap: usize) -> ObserverActor {
+    pub fn new(leader: NodeId) -> ObserverActor {
         ObserverActor {
             leader,
-            store: ConfigStore::new(log_cap),
+            store: ConfigStore::new(LOG_CAP),
             watches: WatchTable::new(),
             sync_every: SimDuration::from_secs(2),
             contig: Zxid::ZERO,
-            legacy_notify: false,
             sync_inflight: None,
             // Just over the worst cross-region round trip (~80 ms), so a
             // lost ask or reply is re-asked on the next heartbeat after
@@ -134,13 +129,6 @@ impl ObserverActor {
             lease_ttl: SimDuration::from_secs(6),
             lease_settle: SimDuration::from_millis(50),
         }
-    }
-
-    /// Switches the proxy fan-out to the per-path baseline (see
-    /// [`crate::ensemble::EnsembleConfig::legacy_rebroadcast`]).
-    pub fn with_legacy_notify(mut self, legacy: bool) -> ObserverActor {
-        self.legacy_notify = legacy;
-        self
     }
 
     /// Read access to the replica (for tests and experiments).
@@ -178,16 +166,8 @@ impl ObserverActor {
     /// Gap-triggered sync, gated on the in-flight request: at most one
     /// outstanding ask per `sync_retry` window, however many frames report
     /// the same hole, with a retry timer covering a lost ask (or reply).
-    /// `OBSERVER_GAP_RESYNCS` counts requests actually sent. The legacy
-    /// baseline re-asks on every gap frame, as the pre-batching per-write
-    /// push path did — the leader then ships the payload-heavy reply once
-    /// per duplicate ask.
+    /// `OBSERVER_GAP_RESYNCS` counts requests actually sent.
     fn gap_sync(&mut self, ctx: &mut Ctx<'_>) {
-        if self.legacy_notify {
-            ctx.metrics().incr(OBSERVER_GAP_RESYNCS, 1);
-            self.sync(ctx);
-            return;
-        }
         self.gated_sync(ctx);
         if !self.retry_armed {
             self.retry_armed = true;
@@ -219,8 +199,8 @@ impl ObserverActor {
     }
 
     /// Records one notify frame sent to `to` under its lease, if any.
-    /// Lease-less watchers (laser servers, legacy proxies) are a no-op:
-    /// nobody will compare a counter for them.
+    /// Lease-less watchers (laser servers, MobileConfig populations) are a
+    /// no-op: nobody will compare a counter for them.
     fn note_sent(&mut self, to: NodeId, now: SimTime) {
         if let Some(l) = self.leases.get_mut(&to) {
             l.frames_sent += 1;
@@ -253,9 +233,8 @@ impl ObserverActor {
     /// Loss repair: the counters disagreed, so re-push the full current
     /// state of every path `node` watches under a FRESH lease epoch, then
     /// ack the new lease. Repairing directly (instead of nacking and
-    /// forcing a re-subscribe round trip) keeps the per-round repair
-    /// probability at the legacy per-check re-subscribe level — one lossy
-    /// observer→proxy leg, not three. The fresh epoch is what makes a
+    /// forcing a re-subscribe round trip) keeps each repair round to one
+    /// lossy observer→proxy leg, not three. The fresh epoch is what makes a
     /// dropped repair chunk recoverable: the watcher's receipt count of
     /// the chunks becomes its new counter, so any shortfall shows up at
     /// the very next ping and triggers another repair round.
@@ -311,8 +290,7 @@ impl ObserverActor {
     /// simulator without cloning the payload per receiver. In the common
     /// fleet case every proxy in the cluster watches the same paths, so a
     /// hundred-proxy fan-out allocates one frame instead of a hundred
-    /// cloned `Vec<Write>`s. The legacy baseline keeps per-path `Notify`
-    /// frames.
+    /// cloned `Vec<Write>`s.
     fn notify_watchers(&mut self, ctx: &mut Ctx<'_>, changed: &[String]) {
         if changed.is_empty() {
             return;
@@ -337,31 +315,29 @@ impl ObserverActor {
         // grouping below would allocate a per-watcher index Vec and build
         // two maps just to rediscover that single group; at paper scale
         // that is millions of allocations per replay.
-        if !self.legacy_notify {
-            if let [w] = &current[..] {
-                let nodes: Vec<NodeId> = self.watches.watchers(&w.path).collect();
-                if nodes.is_empty() {
-                    return;
-                }
-                let writes = vec![w.clone()];
-                let size = batch_wire_size(&writes);
-                let traces = batch_traces(&writes);
-                let now = ctx.now();
-                for &n in &nodes {
-                    self.note_sent(n, now);
-                }
-                if let [only] = nodes[..] {
-                    ctx.send_traced_batch(
-                        only,
-                        size,
-                        Box::new(ZeusMsg::NotifyBatch { writes }),
-                        traces,
-                    );
-                } else {
-                    ctx.multicast_traced(&nodes, size, NotifyFrame { writes }, &traces);
-                }
+        if let [w] = &current[..] {
+            let nodes: Vec<NodeId> = self.watches.watchers(&w.path).collect();
+            if nodes.is_empty() {
                 return;
             }
+            let writes = vec![w.clone()];
+            let size = batch_wire_size(&writes);
+            let traces = batch_traces(&writes);
+            let now = ctx.now();
+            for &n in &nodes {
+                self.note_sent(n, now);
+            }
+            if let [only] = nodes[..] {
+                ctx.send_traced_batch(
+                    only,
+                    size,
+                    Box::new(ZeusMsg::NotifyBatch { writes }),
+                    traces,
+                );
+            } else {
+                ctx.multicast_traced(&nodes, size, NotifyFrame { writes }, &traces);
+            }
+            return;
         }
         // Per-watcher ascending index lists into `current` (= zxid order).
         let mut per_watcher: BTreeMap<NodeId, Vec<u16>> = BTreeMap::new();
@@ -369,21 +345,6 @@ impl ObserverActor {
             for node in self.watches.watchers(&w.path) {
                 per_watcher.entry(node).or_default().push(i as u16);
             }
-        }
-        if self.legacy_notify {
-            for (watcher, idxs) in per_watcher {
-                for i in idxs {
-                    let w = current[i as usize].clone();
-                    let trace = w.trace;
-                    ctx.send_traced(
-                        watcher,
-                        w.wire_size(),
-                        Box::new(ZeusMsg::Notify { write: w }),
-                        trace,
-                    );
-                }
-            }
-            return;
         }
         // Invert: watchers sharing an identical subset form one multicast
         // group. BTree ordering keeps iteration — and therefore simulated
@@ -434,8 +395,8 @@ impl Actor for ObserverActor {
             // Lease sweep: a watcher that stopped renewing (partitioned,
             // crashed, failed over elsewhere) loses its lease AND its
             // watches — fan-out stops paying for dead subscribers. Only
-            // leased watchers expire; laser servers and legacy proxies
-            // never lease and keep their watches as before.
+            // leased watchers expire; laser servers and MobileConfig
+            // populations never lease and keep their watches.
             let now = ctx.now();
             let mut expired: Vec<NodeId> = self
                 .leases
@@ -572,9 +533,9 @@ impl Actor for ObserverActor {
             ZeusMsg::Heartbeat { committed, .. } => {
                 // The leader heartbeats observers with its commit head:
                 // push frames are all-or-nothing, so this 64-byte signal is
-                // what reveals a fully dropped push round. Gated in BOTH
-                // modes — at 20 heartbeats/s an ungated ask would turn one
-                // hole into a payload-heavy sync-reply flood.
+                // what reveals a fully dropped push round. Gated — at 20
+                // heartbeats/s an ungated ask would turn one hole into a
+                // payload-heavy sync-reply flood.
                 self.target_head = self.target_head.max(committed);
                 if self.contig < committed {
                     self.gated_sync(ctx);
@@ -584,10 +545,9 @@ impl Actor for ObserverActor {
                 epoch,
                 frames_received,
             } => {
-                // Epoch 0 = a lease-less pinger (legacy proxy, or one still
-                // establishing): answer liveness only. Legacy observers
-                // always answer liveness — their watchers never lease.
-                if epoch == 0 || self.legacy_notify {
+                // Epoch 0 = a pinger still establishing its lease: answer
+                // liveness only.
+                if epoch == 0 {
                     ctx.send_value(
                         from,
                         control_wire::PONG,
@@ -611,9 +571,8 @@ impl Actor for ObserverActor {
                         // lost. Its watch set is intact, so repair in place
                         // — bouncing through re-establishment would stretch
                         // the recovery chain to four lossy legs (ping, pong,
-                        // renew+subscribe, notify) where legacy anti-entropy
-                        // needs two, wrecking tail propagation under
-                        // sustained drop.
+                        // renew+subscribe, notify) where repair needs two,
+                        // wrecking tail propagation under sustained drop.
                         Some(_) => Some(true),
                         // Unknown lease (expired, or fenced by a restart
                         // that cleared the table): the pinger re-establishes

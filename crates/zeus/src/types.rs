@@ -1,7 +1,7 @@
 //! Core protocol types: transaction ids, writes, and wire messages.
 
 use bytes::Bytes;
-use simnet::{NodeId, SimTime, TraceCtx};
+use simnet::{NodeId, SimDuration, SimTime, TraceCtx};
 
 /// A ZooKeeper-style transaction id: `(epoch, counter)`, totally ordered.
 ///
@@ -78,6 +78,16 @@ impl Write {
 /// byte reduction (headers are small next to payloads — the savings come
 /// from targeting) but measurably fatten the delivery tail.
 pub const MAX_BATCH_WRITES: usize = 4;
+
+/// Leader heartbeat period; also the retransmission pacer's tick.
+pub const HEARTBEAT: SimDuration = SimDuration(50_000);
+
+/// Base election timeout (each arming adds up to the same again as jitter).
+pub const ELECTION_TIMEOUT: SimDuration = SimDuration(400_000);
+
+/// Writes a [`crate::store::ConfigStore`] retains for catch-up replies
+/// before a lagging replica is sent a snapshot instead.
+pub const LOG_CAP: usize = 100_000;
 
 /// Ceiling for the adaptive retransmission chunk size on links measured
 /// to be clean. Headers are 64 bytes against kilobyte payloads, so going
@@ -265,7 +275,7 @@ pub enum ZeusMsg {
     ProxyPong {
         /// Whether the pinger's lease is still valid. `false` (unknown
         /// watcher, fenced epoch) sends the proxy back through a full
-        /// re-subscribe; always `true` from legacy-mode observers.
+        /// re-subscribe.
         lease_ok: bool,
     },
     /// Proxy → observer: establish or renew the watch lease covering every

@@ -17,7 +17,6 @@ fn deployment(seed: u64, subscriptions: Vec<String>) -> (Sim, ZeusDeployment) {
         ensemble_size: 5,
         observers_per_cluster: 2,
         subscriptions,
-        ..DeployConfig::default()
     };
     let zeus = ZeusDeployment::install(&mut sim, &cfg);
     sim.run_for(SimDuration::from_secs(1));
@@ -396,7 +395,6 @@ fn sole_observer_crash_exhausts_failover_then_reconnects() {
         ensemble_size: 5,
         observers_per_cluster: 1,
         subscriptions: vec!["cfg/sole".into()],
-        ..DeployConfig::default()
     };
     let zeus = ZeusDeployment::install(&mut sim, &cfg);
     sim.run_for(SimDuration::from_secs(1));

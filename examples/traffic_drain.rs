@@ -58,7 +58,6 @@ fn main() {
         ensemble_size: 5,
         observers_per_cluster: 2,
         subscriptions: vec!["traffic/weights.json".to_string()],
-        ..DeployConfig::default()
     };
     let zeus = ZeusDeployment::install(&mut sim, &cfg);
     sim.run_for(SimDuration::from_secs(1));

@@ -54,7 +54,6 @@ fn config_change_reaches_simulated_fleet() {
         ensemble_size: 3,
         observers_per_cluster: 2,
         subscriptions: vec!["store/cache".to_string()],
-        ..DeployConfig::default()
     };
     let zeus = ZeusDeployment::install(&mut sim, &cfg);
     sim.run_for(SimDuration::from_secs(1));
