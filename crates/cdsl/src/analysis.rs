@@ -31,12 +31,12 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
-use crate::ast::{BinOp, Expr, ExprKind, FuncDef, Module, Stmt, StmtKind, UnOp};
+use crate::ast::{walk_stmts, BinOp, Defs, Expr, ExprKind, FuncDef, Module, Stmt, StmtKind};
 use crate::cache::{content_key, ContentKey, ParseCache};
 use crate::compile::validator_path;
 use crate::interp::{Loader, BUILTINS};
 use crate::parser;
-use crate::schema::{parse_schema, SchemaSet, Type, TypeDef};
+use crate::schema::{parse_schema, SchemaSet, Type, TypeDef, UNKNOWN_TYPE};
 use crate::value::Value;
 
 /// How bad a finding is. Only errors reject a commit.
@@ -291,28 +291,48 @@ fn extract_facts(module: Arc<Module>) -> ModuleFacts {
             _ => {}
         }
     }
-    let mut refs: Vec<(String, u32)> = Vec::new();
+    let mut free_refs: Vec<(String, u32)> = Vec::new();
     let mut seen: BTreeSet<String> = BTreeSet::new();
-    {
-        let bound = |n: &str| bindings.contains(n);
-        collect_free_refs_stmts(&module.stmts, &bound, &mut refs, &mut seen, false);
-    }
+    let mut collect_free = |stmts, defs, bound: &dyn Fn(&str) -> bool| {
+        walk_stmts(stmts, defs, &mut |e| match &e.kind {
+            ExprKind::Name(n) if !bound(n) && seen.insert(n.clone()) => {
+                free_refs.push((n.clone(), e.line));
+            }
+            _ => {}
+        });
+    };
+    // Top-level code, and the parameter defaults of its `def`s, resolve in
+    // module scope; each body resolves its own parameters and assignments
+    // first.
+    collect_free(&module.stmts, Defs::Defaults, &|n| bindings.contains(n));
     for stmt in &module.stmts {
         if let StmtKind::Def(def) = &stmt.kind {
             let mut locals: BTreeSet<String> = def.params.iter().map(|p| p.name.clone()).collect();
             collect_bindings(&def.body, &mut locals);
-            let bound = |n: &str| locals.contains(n) || bindings.contains(n);
-            collect_free_refs_stmts(&def.body, &bound, &mut refs, &mut seen, true);
+            collect_free(&def.body, Defs::Skip, &|n| {
+                locals.contains(n) || bindings.contains(n)
+            });
         }
     }
     let mut struct_lits = Vec::new();
-    collect_struct_lits_stmts(&module.stmts, &mut struct_lits);
+    walk_stmts(&module.stmts, Defs::Bodies, &mut |e| {
+        if let ExprKind::Struct { name, fields } = &e.kind {
+            struct_lits.push(StructLit {
+                name: name.clone(),
+                line: e.line,
+                fields: fields
+                    .iter()
+                    .map(|(f, v)| (f.clone(), const_eval(v)))
+                    .collect(),
+            });
+        }
+    });
     ModuleFacts {
         module,
         bindings,
         imports,
         schemas,
-        free_refs: refs,
+        free_refs,
         struct_lits,
     }
 }
@@ -341,343 +361,25 @@ fn collect_bindings(stmts: &[Stmt], out: &mut BTreeSet<String>) {
     }
 }
 
-fn collect_free_refs_stmts(
-    stmts: &[Stmt],
-    bound: &dyn Fn(&str) -> bool,
-    out: &mut Vec<(String, u32)>,
-    seen: &mut BTreeSet<String>,
-    skip_defs: bool,
-) {
-    for stmt in stmts {
-        match &stmt.kind {
-            StmtKind::Assign { value, .. } => collect_free_refs_expr(value, bound, out, seen),
-            StmtKind::Expr(e) => collect_free_refs_expr(e, bound, out, seen),
-            StmtKind::Return(Some(e)) => collect_free_refs_expr(e, bound, out, seen),
-            StmtKind::If {
-                cond,
-                then,
-                otherwise,
-            } => {
-                collect_free_refs_expr(cond, bound, out, seen);
-                collect_free_refs_stmts(then, bound, out, seen, skip_defs);
-                collect_free_refs_stmts(otherwise, bound, out, seen, skip_defs);
-            }
-            StmtKind::For { iter, body, .. } => {
-                collect_free_refs_expr(iter, bound, out, seen);
-                collect_free_refs_stmts(body, bound, out, seen, skip_defs);
-            }
-            StmtKind::Def(def) if !skip_defs => {
-                // Parameter defaults evaluate in module scope.
-                for p in &def.params {
-                    if let Some(d) = &p.default {
-                        collect_free_refs_expr(d, bound, out, seen);
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-fn collect_free_refs_expr(
-    e: &Expr,
-    bound: &dyn Fn(&str) -> bool,
-    out: &mut Vec<(String, u32)>,
-    seen: &mut BTreeSet<String>,
-) {
-    match &e.kind {
-        ExprKind::Name(n) if !bound(n) && seen.insert(n.clone()) => {
-            out.push((n.clone(), e.line));
-        }
-        ExprKind::List(items) => {
-            for i in items {
-                collect_free_refs_expr(i, bound, out, seen);
-            }
-        }
-        ExprKind::Dict(pairs) => {
-            for (k, v) in pairs {
-                collect_free_refs_expr(k, bound, out, seen);
-                collect_free_refs_expr(v, bound, out, seen);
-            }
-        }
-        ExprKind::Struct { fields, .. } => {
-            for (_, v) in fields {
-                collect_free_refs_expr(v, bound, out, seen);
-            }
-        }
-        ExprKind::Bin(_, l, r) => {
-            collect_free_refs_expr(l, bound, out, seen);
-            collect_free_refs_expr(r, bound, out, seen);
-        }
-        ExprKind::Un(_, v) => collect_free_refs_expr(v, bound, out, seen),
-        ExprKind::Call {
-            callee,
-            args,
-            kwargs,
-        } => {
-            collect_free_refs_expr(callee, bound, out, seen);
-            for a in args {
-                collect_free_refs_expr(a, bound, out, seen);
-            }
-            for (_, a) in kwargs {
-                collect_free_refs_expr(a, bound, out, seen);
-            }
-        }
-        ExprKind::Index(b, i) => {
-            collect_free_refs_expr(b, bound, out, seen);
-            collect_free_refs_expr(i, bound, out, seen);
-        }
-        ExprKind::Attr(b, _) => collect_free_refs_expr(b, bound, out, seen),
-        ExprKind::Cond {
-            then,
-            cond,
-            otherwise,
-        } => {
-            collect_free_refs_expr(then, bound, out, seen);
-            collect_free_refs_expr(cond, bound, out, seen);
-            collect_free_refs_expr(otherwise, bound, out, seen);
-        }
-        _ => {}
-    }
-}
-
-fn collect_struct_lits_stmts(stmts: &[Stmt], out: &mut Vec<StructLit>) {
-    for stmt in stmts {
-        match &stmt.kind {
-            StmtKind::Assign { value, .. } => collect_struct_lits_expr(value, out),
-            StmtKind::Expr(e) => collect_struct_lits_expr(e, out),
-            StmtKind::Return(Some(e)) => collect_struct_lits_expr(e, out),
-            StmtKind::If {
-                cond,
-                then,
-                otherwise,
-            } => {
-                collect_struct_lits_expr(cond, out);
-                collect_struct_lits_stmts(then, out);
-                collect_struct_lits_stmts(otherwise, out);
-            }
-            StmtKind::For { iter, body, .. } => {
-                collect_struct_lits_expr(iter, out);
-                collect_struct_lits_stmts(body, out);
-            }
-            StmtKind::Def(def) => {
-                for p in &def.params {
-                    if let Some(d) = &p.default {
-                        collect_struct_lits_expr(d, out);
-                    }
-                }
-                collect_struct_lits_stmts(&def.body, out);
-            }
-            _ => {}
-        }
-    }
-}
-
-fn collect_struct_lits_expr(e: &Expr, out: &mut Vec<StructLit>) {
-    let mut recurse = |sub: &Expr| collect_struct_lits_expr(sub, out);
-    match &e.kind {
-        ExprKind::Struct { name, fields } => {
-            let lit = StructLit {
-                name: name.clone(),
-                line: e.line,
-                fields: fields
-                    .iter()
-                    .map(|(f, v)| (f.clone(), const_eval(v)))
-                    .collect(),
-            };
-            out.push(lit);
-            for (_, v) in fields {
-                collect_struct_lits_expr(v, out);
-            }
-        }
-        ExprKind::List(items) => items.iter().for_each(recurse),
-        ExprKind::Dict(pairs) => {
-            for (k, v) in pairs {
-                collect_struct_lits_expr(k, out);
-                collect_struct_lits_expr(v, out);
-            }
-        }
-        ExprKind::Bin(_, l, r) => {
-            collect_struct_lits_expr(l, out);
-            collect_struct_lits_expr(r, out);
-        }
-        ExprKind::Un(_, v) => recurse(v),
-        ExprKind::Call {
-            callee,
-            args,
-            kwargs,
-        } => {
-            collect_struct_lits_expr(callee, out);
-            args.iter().for_each(|a| collect_struct_lits_expr(a, out));
-            kwargs
-                .iter()
-                .for_each(|(_, a)| collect_struct_lits_expr(a, out));
-        }
-        ExprKind::Index(b, i) => {
-            collect_struct_lits_expr(b, out);
-            collect_struct_lits_expr(i, out);
-        }
-        ExprKind::Attr(b, _) => recurse(b),
-        ExprKind::Cond {
-            then,
-            cond,
-            otherwise,
-        } => {
-            collect_struct_lits_expr(then, out);
-            collect_struct_lits_expr(cond, out);
-            collect_struct_lits_expr(otherwise, out);
-        }
-        _ => {}
-    }
-}
-
-/// Evaluates a literal-only expression to the exact value the interpreter
-/// would produce, or `None` if anything is uncertain (names, calls,
-/// runtime errors).
-fn const_eval(e: &Expr) -> Option<Value> {
-    match &e.kind {
-        ExprKind::Null => Some(Value::Null),
-        ExprKind::Bool(b) => Some(Value::Bool(*b)),
-        ExprKind::Int(i) => Some(Value::Int(*i)),
-        ExprKind::Float(f) => Some(Value::Float(*f)),
-        ExprKind::Str(s) => Some(Value::str(s.clone())),
-        ExprKind::List(items) => {
-            let vals: Option<Vec<Value>> = items.iter().map(const_eval).collect();
-            vals.map(Value::list)
-        }
-        ExprKind::Dict(pairs) => {
-            let mut map = BTreeMap::new();
-            for (k, v) in pairs {
-                match (const_eval(k), const_eval(v)) {
-                    (Some(Value::Str(ks)), Some(vv)) => {
-                        map.insert(ks.to_string(), vv);
-                    }
-                    _ => return None,
-                }
-            }
-            Some(Value::dict(map))
-        }
-        ExprKind::Un(op, v) => {
-            let v = const_eval(v)?;
-            fold_un(*op, &v)
-        }
-        ExprKind::Bin(op, l, r) => {
-            let l = const_eval(l)?;
-            if matches!(op, BinOp::And) {
-                return if l.truthy() { const_eval(r) } else { Some(l) };
-            }
-            if matches!(op, BinOp::Or) {
-                return if l.truthy() { Some(l) } else { const_eval(r) };
-            }
-            let r = const_eval(r)?;
-            fold_bin(*op, &l, &r)
-        }
-        ExprKind::Cond {
-            then,
-            cond,
-            otherwise,
-        } => {
-            let c = const_eval(cond)?;
-            if c.truthy() {
-                const_eval(then)
-            } else {
-                const_eval(otherwise)
-            }
-        }
-        _ => None,
-    }
-}
-
-/// Folds a unary op exactly as the interpreter would, or `None`.
-fn fold_un(op: UnOp, v: &Value) -> Option<Value> {
-    match (op, v) {
-        (UnOp::Neg, Value::Int(i)) => i.checked_neg().map(Value::Int),
-        (UnOp::Neg, Value::Float(f)) => Some(Value::Float(-f)),
-        (UnOp::Not, v) => Some(Value::Bool(!v.truthy())),
-        _ => None,
-    }
-}
-
-/// Folds a binary op exactly as the interpreter would — `None` whenever
-/// the interpreter would error or the fold is not implemented. Never
-/// produces a value the interpreter would not.
-fn fold_bin(op: BinOp, l: &Value, r: &Value) -> Option<Value> {
-    let num = |v: &Value| -> Option<f64> {
-        match v {
-            Value::Int(i) => Some(*i as f64),
-            Value::Float(f) => Some(*f),
-            _ => None,
-        }
+/// The value of an expression with no environment: what the interpreter
+/// would compute for it wherever it stood, or `None` if that depends on
+/// anything but the expression (names, calls) or is an error.
+pub fn const_eval(e: &Expr) -> Option<Value> {
+    let mut walker = EntryWalker {
+        schemas: None,
+        path: "",
+        findings: &mut BTreeSet::new(),
     };
-    match op {
-        BinOp::Add => match (l, r) {
-            (Value::Int(a), Value::Int(b)) => a.checked_add(*b).map(Value::Int),
-            (Value::Str(a), Value::Str(b)) => Some(Value::str(format!("{a}{b}"))),
-            (Value::List(a), Value::List(b)) => {
-                let mut out = a.to_vec();
-                out.extend(b.iter().cloned());
-                Some(Value::list(out))
-            }
-            _ => match (num(l), num(r)) {
-                (Some(a), Some(b)) => Some(Value::Float(a + b)),
-                _ => None,
-            },
-        },
-        BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => {
-            match (l, r, op) {
-                (Value::Int(a), Value::Int(b), BinOp::Sub) => {
-                    return a.checked_sub(*b).map(Value::Int)
-                }
-                (Value::Int(a), Value::Int(b), BinOp::Mul) => {
-                    return a.checked_mul(*b).map(Value::Int)
-                }
-                (Value::Int(a), Value::Int(b), BinOp::Mod) => {
-                    return if *b == 0 {
-                        None
-                    } else {
-                        Some(Value::Int(a.rem_euclid(*b)))
-                    };
-                }
-                _ => {}
-            }
-            match (num(l), num(r)) {
-                (Some(a), Some(b)) => match op {
-                    BinOp::Sub => Some(Value::Float(a - b)),
-                    BinOp::Mul => Some(Value::Float(a * b)),
-                    BinOp::Div => (b != 0.0).then(|| Value::Float(a / b)),
-                    BinOp::Mod => (b != 0.0).then(|| Value::Float(a.rem_euclid(b))),
-                    _ => unreachable!("handled above"),
-                },
-                _ => None,
-            }
-        }
-        BinOp::Eq => Some(Value::Bool(l == r)),
-        BinOp::Ne => Some(Value::Bool(l != r)),
-        BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-            let ord = match (l, r) {
-                (Value::Str(a), Value::Str(b)) => a.cmp(b),
-                _ => match (num(l), num(r)) {
-                    (Some(a), Some(b)) => a.partial_cmp(&b)?,
-                    _ => return None,
-                },
-            };
-            let b = match op {
-                BinOp::Lt => ord.is_lt(),
-                BinOp::Le => ord.is_le(),
-                BinOp::Gt => ord.is_gt(),
-                BinOp::Ge => ord.is_ge(),
-                _ => unreachable!(),
-            };
-            Some(Value::Bool(b))
-        }
-        BinOp::In => match (l, r) {
-            (v, Value::List(items)) => Some(Value::Bool(items.contains(v))),
-            (Value::Str(k), Value::Dict(d)) => Some(Value::Bool(d.contains_key(&**k))),
-            (Value::Str(n), Value::Str(h)) => Some(Value::Bool(h.contains(&**n))),
-            _ => None,
-        },
-        BinOp::And | BinOp::Or => None,
+    match walker.eval(e, &BTreeMap::new()) {
+        Abs::Known(v) => Some(v),
+        _ => None,
     }
+}
+
+/// Whether `e` is a call of one of `names`, written as a bare name.
+fn calls(e: &Expr, names: &[&str]) -> bool {
+    matches!(&e.kind, ExprKind::Call { callee, .. }
+        if matches!(&callee.kind, ExprKind::Name(n) if names.contains(&n.as_str())))
 }
 
 /// Totality flow summary of a statement list.
@@ -691,35 +393,9 @@ struct Flow {
 }
 
 fn expr_has_verdict(e: &Expr) -> bool {
-    match &e.kind {
-        ExprKind::Call {
-            callee,
-            args,
-            kwargs,
-        } => {
-            if matches!(&callee.kind, ExprKind::Name(n) if n == "require" || n == "fail") {
-                return true;
-            }
-            expr_has_verdict(callee)
-                || args.iter().any(expr_has_verdict)
-                || kwargs.iter().any(|(_, a)| expr_has_verdict(a))
-        }
-        ExprKind::List(items) => items.iter().any(expr_has_verdict),
-        ExprKind::Dict(pairs) => pairs
-            .iter()
-            .any(|(k, v)| expr_has_verdict(k) || expr_has_verdict(v)),
-        ExprKind::Struct { fields, .. } => fields.iter().any(|(_, v)| expr_has_verdict(v)),
-        ExprKind::Bin(_, l, r) => expr_has_verdict(l) || expr_has_verdict(r),
-        ExprKind::Un(_, v) => expr_has_verdict(v),
-        ExprKind::Index(b, i) => expr_has_verdict(b) || expr_has_verdict(i),
-        ExprKind::Attr(b, _) => expr_has_verdict(b),
-        ExprKind::Cond {
-            then,
-            cond,
-            otherwise,
-        } => expr_has_verdict(then) || expr_has_verdict(cond) || expr_has_verdict(otherwise),
-        _ => false,
-    }
+    let mut found = false;
+    e.walk(&mut |sub| found |= calls(sub, &["require", "fail"]));
+    found
 }
 
 fn verdict_flow(stmts: &[Stmt], covered_in: bool) -> Flow {
@@ -955,7 +631,7 @@ impl<'l> Verifier<'l> {
 
         // Entry-level symbolic walk: exports, dead arms, env-aware lits.
         let mut walker = EntryWalker {
-            schemas,
+            schemas: Some(schemas),
             path: entry,
             findings,
         };
@@ -1003,6 +679,11 @@ impl<'l> Verifier<'l> {
         // re-hashed hundreds of binding names for every rippled entry).
         let mut trans: Vec<&Arc<ModuleFacts>> = Vec::new();
         let mut stack: Vec<&str> = facts.imports.iter().map(|(p, _)| p.as_str()).collect();
+        if facts.free_refs.is_empty() {
+            // Nothing to resolve: a long chain of modules that only import
+            // would otherwise cost its length squared.
+            stack.clear();
+        }
         let mut visited: HashSet<&str> = HashSet::new();
         while let Some(ipath) = stack.pop() {
             if !visited.insert(ipath) {
@@ -1175,8 +856,9 @@ impl<'l> Verifier<'l> {
     }
 }
 
-/// Checks one struct literal against the schema set, mirroring the
-/// interpreter's `build_struct`/`coerce` exactly (Unknown always passes).
+/// Checks one struct literal against the schema set: every way the
+/// interpreter's struct construction would provably reject it (an
+/// `Unknown` field always passes), plus the constant-fold lints.
 fn check_struct_lit(
     schemas: &SchemaSet,
     path: &str,
@@ -1266,8 +948,8 @@ fn check_struct_lit(
     }
 }
 
-/// Type-compat check for an abstract value, mirroring `coerce`. Returns a
-/// message when the interpreter would provably reject the value.
+/// Why the interpreter would provably reject `abs` as a field of type `ty`,
+/// if it would.
 fn check_abs_type(abs: &Abs, ty: &Type, schemas: &SchemaSet) -> Option<String> {
     match abs {
         Abs::Unknown => None,
@@ -1281,49 +963,10 @@ fn check_abs_type(abs: &Abs, ty: &Type, schemas: &SchemaSet) -> Option<String> {
             },
             _ => Some(format!("expected {}, found struct {name}", ty.render())),
         },
-        Abs::Known(v) => check_value_type(v, ty, schemas),
-    }
-}
-
-fn check_value_type(v: &Value, ty: &Type, schemas: &SchemaSet) -> Option<String> {
-    let mismatch = || Some(format!("expected {}, found {}", ty.render(), v.type_name()));
-    match (ty, v) {
-        (Type::Bool, Value::Bool(_)) => None,
-        (Type::I32, Value::Int(i)) => {
-            if i32::try_from(*i).is_ok() {
-                None
-            } else {
-                Some(format!("{i} out of range for i32"))
-            }
-        }
-        (Type::I64, Value::Int(_)) => None,
-        (Type::Double, Value::Int(_) | Value::Float(_)) => None,
-        (Type::String, Value::Str(_)) => None,
-        (Type::List(inner), Value::List(items)) => items
-            .iter()
-            .find_map(|item| check_value_type(item, inner, schemas)),
-        (Type::Map(inner), Value::Dict(map)) => map
-            .values()
-            .find_map(|item| check_value_type(item, inner, schemas)),
-        (Type::Named(tname), v) => match schemas.get(tname) {
-            Some(TypeDef::Enum(e)) => match v {
-                Value::Enum(ev) if ev.enum_name == *tname => None,
-                Value::Str(s) => {
-                    if e.variant(s).is_some() {
-                        None
-                    } else {
-                        Some(format!("enum {tname} has no variant {s}"))
-                    }
-                }
-                _ => mismatch(),
-            },
-            Some(TypeDef::Struct(_)) => match v {
-                Value::Struct(sv) if sv.type_name == *tname => None,
-                _ => mismatch(),
-            },
-            None => None,
-        },
-        _ => mismatch(),
+        Abs::Known(v) => schemas
+            .coerce(v, ty)
+            .err()
+            .filter(|why| !why.starts_with(UNKNOWN_TYPE)),
     }
 }
 
@@ -1331,7 +974,9 @@ fn check_value_type(v: &Value, ty: &Type, schemas: &SchemaSet) -> Option<String>
 /// tracks an abstract environment, checks struct literals with
 /// environment knowledge, and flags dead `export_if_last` arms.
 struct EntryWalker<'a> {
-    schemas: &'a SchemaSet,
+    /// `None` evaluates with no schema knowledge and reports nothing: see
+    /// [`const_eval`].
+    schemas: Option<&'a SchemaSet>,
     path: &'a str,
     findings: &'a mut BTreeSet<Finding>,
 }
@@ -1401,47 +1046,48 @@ impl EntryWalker<'_> {
 
     /// Structurally finds `export_if_last` calls in a dead branch.
     fn flag_dead_exports(&mut self, stmts: &[Stmt]) {
-        let mut lines = Vec::new();
-        scan_export_lines_stmts(stmts, &mut lines);
-        for line in lines {
-            self.findings.insert(Finding {
-                path: self.path.to_string(),
-                line,
-                check: check::REACHABILITY,
-                severity: Severity::Error,
-                message: "export_if_last arm is unreachable (its condition is constant)"
-                    .to_string(),
-            });
-        }
+        walk_stmts(stmts, Defs::Skip, &mut |e| {
+            if calls(e, &["export_if_last"]) {
+                self.findings.insert(Finding {
+                    path: self.path.to_string(),
+                    line: e.line,
+                    check: check::REACHABILITY,
+                    severity: Severity::Error,
+                    message: "export_if_last arm is unreachable (its condition is constant)"
+                        .to_string(),
+                });
+            }
+        });
     }
 
+    /// The abstract value of `e`. `Known(v)` is strict: the interpreter,
+    /// evaluating `e` where every name holds what `env` says, yields `v`
+    /// and no error. Sub-expressions the interpreter would skip are still
+    /// walked, for the struct literals in them.
     fn eval(&mut self, e: &Expr, env: &BTreeMap<String, Abs>) -> Abs {
+        let known = |folded: Result<Value, String>| folded.map_or(Abs::Unknown, Abs::Known);
         match &e.kind {
             ExprKind::Null => Abs::Known(Value::Null),
             ExprKind::Bool(b) => Abs::Known(Value::Bool(*b)),
             ExprKind::Int(i) => Abs::Known(Value::Int(*i)),
             ExprKind::Float(f) => Abs::Known(Value::Float(*f)),
-            ExprKind::Str(s) => Abs::Known(Value::str(s.clone())),
+            ExprKind::Str(s) => Abs::Known(Value::str(s)),
             ExprKind::Name(n) => env.get(n).cloned().unwrap_or(Abs::Unknown),
             ExprKind::List(items) => {
                 let abs: Vec<Abs> = items.iter().map(|i| self.eval(i, env)).collect();
                 let known: Option<Vec<Value>> = abs
-                    .iter()
+                    .into_iter()
                     .map(|a| match a {
-                        Abs::Known(v) => Some(v.clone()),
+                        Abs::Known(v) => Some(v),
                         _ => None,
                     })
                     .collect();
-                known
-                    .map(|v| Abs::Known(Value::list(v)))
-                    .unwrap_or(Abs::Unknown)
+                known.map_or(Abs::Unknown, |v| Abs::Known(Value::list(v)))
             }
             ExprKind::Dict(pairs) => {
                 let mut map = BTreeMap::new();
                 for (k, v) in pairs {
-                    let k = self.eval(k, env);
-                    let v = self.eval(v, env);
-                    match (k, v) {
+                    match (self.eval(k, env), self.eval(v, env)) {
                         (Abs::Known(Value::Str(ks)), Abs::Known(vv)) => {
                             map.insert(ks.to_string(), vv);
                         }
@@ -1451,202 +1097,76 @@ impl EntryWalker<'_> {
                 Abs::Known(Value::dict(map))
             }
             ExprKind::Struct { name, fields } => {
-                let abs_fields: Vec<(String, Abs)> = fields
+                let fields: Vec<(String, Abs)> = fields
                     .iter()
                     .map(|(n, v)| (n.clone(), self.eval(v, env)))
                     .collect();
-                let mut found = Vec::new();
-                check_struct_lit(
-                    self.schemas,
-                    self.path,
-                    name,
-                    e.line,
-                    &abs_fields,
-                    &mut found,
-                );
-                self.findings.extend(found);
+                if let Some(schemas) = self.schemas {
+                    let mut found = Vec::new();
+                    check_struct_lit(schemas, self.path, name, e.line, &fields, &mut found);
+                    self.findings.extend(found);
+                }
                 Abs::Struct {
                     name: name.clone(),
-                    fields: abs_fields,
+                    fields,
                 }
             }
-            ExprKind::Bin(op, l, r) => {
-                let l = self.eval(l, env);
-                if matches!(op, BinOp::And | BinOp::Or) {
-                    let r = self.eval(r, env);
-                    return match (op, &l) {
-                        (BinOp::And, Abs::Known(v)) => {
-                            if v.truthy() {
-                                r
-                            } else {
-                                l
-                            }
-                        }
-                        (BinOp::Or, Abs::Known(v)) => {
-                            if v.truthy() {
-                                l
-                            } else {
-                                r
-                            }
-                        }
-                        _ => Abs::Unknown,
-                    };
+            ExprKind::Bin(op, l, r) => match (op, self.eval(l, env), self.eval(r, env)) {
+                // The left operand alone decides which one `and`/`or` yield.
+                (BinOp::And, Abs::Known(l), r) | (BinOp::Or, Abs::Known(l), r) => {
+                    if l.truthy() == (*op == BinOp::And) {
+                        r
+                    } else {
+                        Abs::Known(l)
+                    }
                 }
-                let r = self.eval(r, env);
-                match (l, r) {
-                    (Abs::Known(a), Abs::Known(b)) => fold_bin(*op, &a, &b)
-                        .map(Abs::Known)
-                        .unwrap_or(Abs::Unknown),
-                    _ => Abs::Unknown,
-                }
-            }
-            ExprKind::Un(op, v) => match self.eval(v, env) {
-                Abs::Known(v) => fold_un(*op, &v).map(Abs::Known).unwrap_or(Abs::Unknown),
+                (_, Abs::Known(l), Abs::Known(r)) => known(l.binary(*op, &r)),
                 _ => Abs::Unknown,
             },
-            ExprKind::Call {
-                callee,
-                args,
-                kwargs,
-            } => {
-                for a in args {
-                    self.eval(a, env);
-                }
-                for (_, a) in kwargs {
-                    self.eval(a, env);
-                }
-                if !matches!(&callee.kind, ExprKind::Name(_)) {
-                    self.eval(callee, env);
-                }
+            ExprKind::Un(op, v) => match self.eval(v, env) {
+                Abs::Known(v) => known(v.unary(*op)),
+                _ => Abs::Unknown,
+            },
+            ExprKind::Call { .. } => {
+                e.for_each_child(&mut |sub| {
+                    self.eval(sub, env);
+                });
                 Abs::Unknown
             }
-            ExprKind::Index(b, i) => {
-                let b = self.eval(b, env);
-                let i = self.eval(i, env);
-                match (b, i) {
-                    (Abs::Known(Value::List(items)), Abs::Known(Value::Int(idx))) => {
-                        let len = items.len() as i64;
-                        let idx = if idx < 0 { idx + len } else { idx };
-                        if idx >= 0 && idx < len {
-                            Abs::Known(items[idx as usize].clone())
-                        } else {
-                            Abs::Unknown
-                        }
+            ExprKind::Index(b, i) => match (self.eval(b, env), self.eval(i, env)) {
+                (Abs::Known(b), Abs::Known(i)) => known(b.index(&i)),
+                _ => Abs::Unknown,
+            },
+            ExprKind::Attr(base, attr) => match (self.eval(base, env), self.schemas) {
+                (Abs::Known(b), _) => known(b.attr(attr)),
+                // A field reads back as construction coerced it.
+                (Abs::Struct { name, fields }, Some(schemas)) => {
+                    let ty = schemas.get_struct(&name).and_then(|def| {
+                        let fdef = def.fields.iter().find(|f| f.name == *attr)?;
+                        Some(&fdef.ty)
+                    });
+                    match (fields.into_iter().find(|(n, _)| n == attr), ty) {
+                        (Some((_, Abs::Known(v))), Some(ty)) => known(schemas.coerce(&v, ty)),
+                        (Some((_, nested @ Abs::Struct { .. })), Some(_)) => nested,
+                        _ => Abs::Unknown,
                     }
-                    (Abs::Known(Value::Dict(map)), Abs::Known(Value::Str(k))) => map
-                        .get(&*k)
-                        .map(|v| Abs::Known(v.clone()))
-                        .unwrap_or(Abs::Unknown),
-                    _ => Abs::Unknown,
                 }
-            }
-            ExprKind::Attr(base, attr) => {
-                let b = self.eval(base, env);
-                match b {
-                    Abs::Struct { fields, .. } => fields
-                        .iter()
-                        .find(|(n, _)| n == attr)
-                        .map(|(_, v)| v.clone())
-                        .unwrap_or(Abs::Unknown),
-                    Abs::Known(Value::Struct(sv)) => sv
-                        .get(attr)
-                        .map(|v| Abs::Known(v.clone()))
-                        .unwrap_or(Abs::Unknown),
-                    _ => Abs::Unknown,
-                }
-            }
+                _ => Abs::Unknown,
+            },
             ExprKind::Cond {
                 then,
                 cond,
                 otherwise,
             } => match self.eval(cond, env) {
-                Abs::Known(c) => {
-                    if c.truthy() {
-                        self.eval(then, env)
-                    } else {
-                        self.eval(otherwise, env)
-                    }
-                }
+                Abs::Known(c) if c.truthy() => self.eval(then, env),
+                Abs::Known(_) => self.eval(otherwise, env),
                 _ => {
-                    let t = self.eval(then, env);
-                    let o = self.eval(otherwise, env);
-                    t.join(o)
+                    self.eval(then, env);
+                    self.eval(otherwise, env);
+                    Abs::Unknown
                 }
             },
         }
-    }
-}
-
-fn scan_export_lines_stmts(stmts: &[Stmt], out: &mut Vec<u32>) {
-    for stmt in stmts {
-        match &stmt.kind {
-            StmtKind::Assign { value, .. } => scan_export_lines_expr(value, out),
-            StmtKind::Expr(e) => scan_export_lines_expr(e, out),
-            StmtKind::Return(Some(e)) => scan_export_lines_expr(e, out),
-            StmtKind::If {
-                cond,
-                then,
-                otherwise,
-            } => {
-                scan_export_lines_expr(cond, out);
-                scan_export_lines_stmts(then, out);
-                scan_export_lines_stmts(otherwise, out);
-            }
-            StmtKind::For { iter, body, .. } => {
-                scan_export_lines_expr(iter, out);
-                scan_export_lines_stmts(body, out);
-            }
-            _ => {}
-        }
-    }
-}
-
-fn scan_export_lines_expr(e: &Expr, out: &mut Vec<u32>) {
-    match &e.kind {
-        ExprKind::Call {
-            callee,
-            args,
-            kwargs,
-        } => {
-            if matches!(&callee.kind, ExprKind::Name(n) if n == "export_if_last") {
-                out.push(e.line);
-            }
-            scan_export_lines_expr(callee, out);
-            args.iter().for_each(|a| scan_export_lines_expr(a, out));
-            kwargs
-                .iter()
-                .for_each(|(_, a)| scan_export_lines_expr(a, out));
-        }
-        ExprKind::List(items) => items.iter().for_each(|i| scan_export_lines_expr(i, out)),
-        ExprKind::Dict(pairs) => {
-            for (k, v) in pairs {
-                scan_export_lines_expr(k, out);
-                scan_export_lines_expr(v, out);
-            }
-        }
-        ExprKind::Struct { fields, .. } => fields
-            .iter()
-            .for_each(|(_, v)| scan_export_lines_expr(v, out)),
-        ExprKind::Bin(_, l, r) => {
-            scan_export_lines_expr(l, out);
-            scan_export_lines_expr(r, out);
-        }
-        ExprKind::Un(_, v) => scan_export_lines_expr(v, out),
-        ExprKind::Index(b, i) => {
-            scan_export_lines_expr(b, out);
-            scan_export_lines_expr(i, out);
-        }
-        ExprKind::Attr(b, _) => scan_export_lines_expr(b, out),
-        ExprKind::Cond {
-            then,
-            cond,
-            otherwise,
-        } => {
-            scan_export_lines_expr(then, out);
-            scan_export_lines_expr(cond, out);
-            scan_export_lines_expr(otherwise, out);
-        }
-        _ => {}
     }
 }
 
@@ -1828,6 +1348,40 @@ mod tests {
         let mut sorted = paths.clone();
         sorted.sort();
         assert_eq!(paths, sorted, "findings must come out path-sorted");
+    }
+
+    #[test]
+    fn a_field_of_an_abstract_struct_reads_back_as_construction_coerced_it() {
+        // `t.kind` is the enum variant, not the string it was written as,
+        // so the comparison is false and it is the *first* export that can
+        // never run.
+        let report = verify_tree(
+            &[
+                ("k.schema", "enum Kind { A, B }\nstruct T { 1: Kind kind }"),
+                (
+                    "a.cconf",
+                    "schema \"k.schema\"\nt = T { kind: \"A\" }\nif t.kind == \"A\":\n    \
+                     export_if_last(t)\nelse:\n    export_if_last(T { kind: \"B\" })\n",
+                ),
+            ],
+            &["a.cconf"],
+        );
+        let dead: Vec<u32> = report.findings.iter().map(|f| f.line).collect();
+        assert_eq!(dead, vec![4], "{report}");
+        let compiled = crate::Compiler::new(&BTreeMap::from([
+            (
+                "k.schema".to_string(),
+                "enum Kind { A, B }\nstruct T { 1: Kind kind }".to_string(),
+            ),
+            (
+                "a.cconf".to_string(),
+                "schema \"k.schema\"\nt = T { kind: \"A\" }\nexport_if_last(t.kind == \"A\")\n"
+                    .to_string(),
+            ),
+        ]))
+        .compile("a.cconf")
+        .unwrap();
+        assert_eq!(compiled.json.trim(), "false");
     }
 
     #[test]

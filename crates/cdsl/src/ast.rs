@@ -184,3 +184,108 @@ pub struct Module {
     /// Top-level statements.
     pub stmts: Vec<Stmt>,
 }
+
+impl Expr {
+    /// Calls `f` on each direct sub-expression, in the one order every
+    /// analysis pass visits them: a call's callee before its arguments, a
+    /// conditional's `then` before its `cond` before its `otherwise`,
+    /// everything else left to right.
+    pub fn for_each_child<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
+        match &self.kind {
+            ExprKind::Null
+            | ExprKind::Bool(_)
+            | ExprKind::Int(_)
+            | ExprKind::Float(_)
+            | ExprKind::Str(_)
+            | ExprKind::Name(_) => {}
+            ExprKind::List(items) => items.iter().for_each(f),
+            ExprKind::Dict(pairs) => {
+                for (k, v) in pairs {
+                    f(k);
+                    f(v);
+                }
+            }
+            ExprKind::Struct { fields, .. } => fields.iter().for_each(|(_, v)| f(v)),
+            ExprKind::Bin(_, a, b) | ExprKind::Index(a, b) => {
+                f(a);
+                f(b);
+            }
+            ExprKind::Un(_, v) | ExprKind::Attr(v, _) => f(v),
+            ExprKind::Call {
+                callee,
+                args,
+                kwargs,
+            } => {
+                f(callee);
+                args.iter().for_each(&mut *f);
+                kwargs.iter().for_each(|(_, v)| f(v));
+            }
+            ExprKind::Cond {
+                then,
+                cond,
+                otherwise,
+            } => {
+                f(then);
+                f(cond);
+                f(otherwise);
+            }
+        }
+    }
+
+    /// Calls `f` on this expression and then on everything under it,
+    /// parents first, children in [`Expr::for_each_child`] order.
+    pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
+        f(self);
+        self.for_each_child(&mut |child| child.walk(f));
+    }
+}
+
+/// How far [`walk_stmts`] goes into a `def` statement.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Defs {
+    /// Not at all.
+    Skip,
+    /// Parameter defaults only — what evaluating the `def` statement
+    /// itself evaluates, in the enclosing scope.
+    Defaults,
+    /// Parameter defaults, then the body.
+    Bodies,
+}
+
+/// Calls `f` on every expression in `stmts` ([`Expr::walk`] of each, in
+/// source order; an `if`'s condition before its arms, a `for`'s iterable
+/// before its body).
+pub fn walk_stmts<'a>(stmts: &'a [Stmt], defs: Defs, f: &mut impl FnMut(&'a Expr)) {
+    for stmt in stmts {
+        match &stmt.kind {
+            StmtKind::Assign { value: e, .. } | StmtKind::Expr(e) | StmtKind::Return(Some(e)) => {
+                e.walk(f)
+            }
+            StmtKind::If {
+                cond,
+                then,
+                otherwise,
+            } => {
+                cond.walk(f);
+                walk_stmts(then, defs, f);
+                walk_stmts(otherwise, defs, f);
+            }
+            StmtKind::For { iter, body, .. } => {
+                iter.walk(f);
+                walk_stmts(body, defs, f);
+            }
+            StmtKind::Def(def) if defs != Defs::Skip => {
+                for default in def.params.iter().filter_map(|p| p.default.as_ref()) {
+                    default.walk(f);
+                }
+                if defs == Defs::Bodies {
+                    walk_stmts(&def.body, defs, f);
+                }
+            }
+            StmtKind::Def(_)
+            | StmtKind::Import(_)
+            | StmtKind::Schema(_)
+            | StmtKind::Return(None) => {}
+        }
+    }
+}

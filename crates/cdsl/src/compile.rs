@@ -23,7 +23,7 @@ use crate::value::Value;
 /// (language, schema handling, validator discovery, JSON emission) must
 /// bump this: it is folded into incremental-compilation fingerprints so
 /// stored artifacts from an older compiler are never reused.
-pub const COMPILER_VERSION: u32 = 2;
+pub const COMPILER_VERSION: u32 = 3;
 
 /// The result of compiling one config program.
 #[derive(Debug, Clone)]

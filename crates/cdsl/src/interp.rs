@@ -24,19 +24,20 @@
 //! code path without exporting, exactly like the paper's reusable `.cinc`
 //! modules.
 //!
-//! Execution is budgeted (step count and call depth) so a buggy config
-//! program cannot hang the compiler.
+//! Execution is budgeted — steps, call depth, and how deeply evaluation
+//! nests on the native stack (`MAX_FRAMES`) — so a buggy or hostile config
+//! program can neither hang the compiler nor take its process down.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
-use crate::ast::{BinOp, Expr, ExprKind, Module, Stmt, StmtKind, UnOp};
+use crate::ast::{BinOp, Expr, ExprKind, Module, Stmt, StmtKind};
 use crate::cache::ParseCache;
 use crate::error::{CdslError, ErrorKind, Location, Result};
 use crate::module::{Effect, FrozenModule, ModuleStore, Scope, Stored};
 use crate::parser::parse;
-use crate::schema::{parse_schema, SchemaSet, StructDef, Type, TypeDef};
-use crate::value::{FuncValue, StructValue, Value};
+use crate::schema::{parse_schema, SchemaSet, StructDef, TypeDef};
+use crate::value::{int_result, FuncValue, StructValue, Value};
 
 /// Provides source text for config programs and schemas by path.
 ///
@@ -74,14 +75,28 @@ impl Default for Limits {
     fn default() -> Limits {
         Limits {
             max_steps: 2_000_000,
-            // Each CDSL call level consumes several native frames; 64 keeps
-            // worst-case native stack usage well under typical 2 MB thread
-            // stacks even in debug builds.
+            // How far a config may recurse on purpose. It is not what keeps
+            // the native stack in bounds: the frames one call level takes
+            // grow with how deeply its expressions nest, and `MAX_FRAMES`
+            // counts those.
             max_depth: 64,
             max_range: 1_000_000,
         }
     }
 }
+
+/// Deepest nesting of evaluator frames — an expression inside an
+/// expression, a statement inside a block or a call's body, a module being
+/// loaded — before evaluation stops with a budget error. Each is a few
+/// native stack frames, so this, not [`Limits::max_depth`], is what bounds
+/// native stack use whatever a config nests or recurses into. It is sized
+/// by `tests/nesting.rs`, which runs the deepest programs it admits on a
+/// 1 MiB stack in the debug build: half of what a spawned thread gets, with
+/// frames several times the release build's. A constant rather than a
+/// [`Limits`] field because it guards the process, not the config: no
+/// caller has a reason to set it differently, and one that raised it would
+/// have to know the frame sizes of the build it runs in.
+const MAX_FRAMES: u32 = 140;
 
 /// A function call's local bindings.
 type Locals = HashMap<String, Value>;
@@ -149,6 +164,11 @@ pub struct Interp<'l> {
     /// module started; the rest of its steps are its own.
     child_steps: u64,
     depth: u32,
+    /// Evaluator frames open right now, against [`MAX_FRAMES`].
+    frames: u32,
+    /// The most `frames` has been since the innermost executing module
+    /// started.
+    peak_frames: u32,
 }
 
 impl<'l> Interp<'l> {
@@ -171,6 +191,8 @@ impl<'l> Interp<'l> {
             steps: 0,
             child_steps: 0,
             depth: 0,
+            frames: 0,
+            peak_frames: 0,
         }
     }
 
@@ -318,13 +340,18 @@ impl<'l> Interp<'l> {
             self.deps.insert(path.to_string());
         }
         self.loading.push(path.to_string());
+        self.frames += 1;
+        let outer_peak_frames = std::mem::replace(&mut self.peak_frames, self.frames);
         let start = self.steps;
         let outer_child_steps = std::mem::take(&mut self.child_steps);
         let result = self.exec_stmts(&ast.stmts, idx, None);
+        self.frames -= 1;
         self.loading.pop();
         result?;
         let own_steps = self.steps - start - self.child_steps;
         self.child_steps = outer_child_steps;
+        let frames = self.peak_frames - self.frames;
+        self.peak_frames = self.peak_frames.max(outer_peak_frames);
         let Slot::Live { scope, effects } = std::mem::replace(&mut self.modules[idx], Slot::open())
         else {
             unreachable!("a module is frozen once, when its statements finish");
@@ -334,6 +361,7 @@ impl<'l> Interp<'l> {
             scope,
             effects,
             own_steps,
+            frames,
         }));
         Ok(idx)
     }
@@ -348,6 +376,8 @@ impl<'l> Interp<'l> {
         sub.store = self.store;
         sub.isolating = self.isolating.clone();
         sub.isolating.push(path.to_string());
+        // It starts on top of this interpreter's native stack.
+        sub.frames = self.frames;
         let idx = sub.execute(path, ast, false).ok()?;
         Some(Arc::clone(sub.frozen(idx)))
     }
@@ -358,12 +388,18 @@ impl<'l> Interp<'l> {
     /// steps — what executing it here would have done. Declines (`None`)
     /// unless that equivalence holds: no path it brings is already
     /// registered here as a different evaluation, its schemas merge into
-    /// ours without conflict, and its steps fit the remaining budget.
+    /// ours without conflict, and its steps and frames fit the remaining
+    /// budgets.
     fn link(&mut self, module: &Arc<FrozenModule>) -> Option<usize> {
         let mut steps = self.steps;
-        if !self.can_link(module, &mut Vec::new(), &mut steps) || steps > self.limits.max_steps {
+        let peak_frames = self.frames + module.frames;
+        if !self.can_link(module, &mut Vec::new(), &mut steps)
+            || steps > self.limits.max_steps
+            || peak_frames > MAX_FRAMES
+        {
             return None;
         }
+        self.peak_frames = self.peak_frames.max(peak_frames);
         Some(self.replay(module))
     }
 
@@ -431,13 +467,26 @@ impl<'l> Interp<'l> {
         CdslError::new(kind, &self.module_paths[module], line)
     }
 
+    /// Places what an operator in [`crate::value`] objected to.
+    fn eval_error(&self, module: usize, line: u32) -> impl FnOnce(String) -> CdslError + '_ {
+        move |m| self.error(module, line, ErrorKind::Eval(m))
+    }
+
+    /// Opens an evaluator frame for the statement or expression at `line`
+    /// and charges it one step; the caller closes the frame.
     fn charge(&mut self, module: usize, line: u32) -> Result<()> {
         self.steps += 1;
-        if self.steps > self.limits.max_steps {
-            let kind = ErrorKind::Budget(format!("exceeded {} steps", self.limits.max_steps));
-            return Err(self.error(module, line, kind));
-        }
-        Ok(())
+        self.frames += 1;
+        self.peak_frames = self.peak_frames.max(self.frames);
+        let over = if self.steps > self.limits.max_steps {
+            format!("exceeded {} steps", self.limits.max_steps)
+        } else if self.frames > MAX_FRAMES {
+            format!("evaluation nested deeper than {MAX_FRAMES} frames")
+        } else {
+            return Ok(());
+        };
+        self.frames -= 1;
+        Err(self.error(module, line, ErrorKind::Budget(over)))
     }
 
     fn exec_stmts(
@@ -459,9 +508,20 @@ impl<'l> Interp<'l> {
         &mut self,
         stmt: &Stmt,
         module: usize,
-        mut locals: Option<&mut Locals>,
+        locals: Option<&mut Locals>,
     ) -> Result<Flow> {
         self.charge(module, stmt.line)?;
+        let flow = self.exec_stmt_kind(stmt, module, locals);
+        self.frames -= 1;
+        flow
+    }
+
+    fn exec_stmt_kind(
+        &mut self,
+        stmt: &Stmt,
+        module: usize,
+        mut locals: Option<&mut Locals>,
+    ) -> Result<Flow> {
         let top_level_only = |what: &str| {
             let kind = ErrorKind::Eval(format!("{what} is only allowed at module top level"));
             self.error(module, stmt.line, kind)
@@ -481,39 +541,10 @@ impl<'l> Interp<'l> {
                 self.eval(e, module, locals.as_deref())?;
                 Ok(Flow::Normal)
             }
-            StmtKind::Import(target) => {
-                if locals.is_some() {
-                    return Err(top_level_only("import"));
-                }
-                let dep = self.load_module(target, false)?;
-                // Bind the imported module's top-level names, like the
-                // paper's `import_python(path, "*")`.
-                let dep = Arc::clone(self.frozen(dep));
-                let (scope, effects) = self.live(module);
-                scope.link(&dep);
-                effects.push(Effect::Import(dep));
-                Ok(Flow::Normal)
-            }
-            StmtKind::Schema(target) => {
-                if locals.is_some() {
-                    return Err(top_level_only("schema"));
-                }
-                let src = self.loader.load(target).ok_or_else(|| {
-                    self.error(module, stmt.line, ErrorKind::MissingSource(target.clone()))
-                })?;
-                let defs = match self.cache {
-                    Some(cache) => cache.schema(&src, target)?,
-                    None => Arc::new(parse_schema(&src, target)?),
-                };
-                self.schemas.load_defs(&defs, target)?;
-                // A schema file is always a dependency of the config.
-                self.deps.insert(target.clone());
-                self.live(module).1.push(Effect::Schema {
-                    path: target.clone(),
-                    defs,
-                });
-                Ok(Flow::Normal)
-            }
+            StmtKind::Import(_) if locals.is_some() => Err(top_level_only("import")),
+            StmtKind::Import(target) => self.exec_import(target, module),
+            StmtKind::Schema(_) if locals.is_some() => Err(top_level_only("schema")),
+            StmtKind::Schema(target) => self.exec_schema(target, module, stmt.line),
             StmtKind::Def(def) => {
                 if locals.is_some() {
                     let kind =
@@ -578,6 +609,35 @@ impl<'l> Interp<'l> {
         }
     }
 
+    fn exec_import(&mut self, target: &str, module: usize) -> Result<Flow> {
+        let dep = self.load_module(target, false)?;
+        // Bind the imported module's top-level names, like the paper's
+        // `import_python(path, "*")`.
+        let dep = Arc::clone(self.frozen(dep));
+        let (scope, effects) = self.live(module);
+        scope.link(&dep);
+        effects.push(Effect::Import(dep));
+        Ok(Flow::Normal)
+    }
+
+    fn exec_schema(&mut self, target: &str, module: usize, line: u32) -> Result<Flow> {
+        let src = self.loader.load(target).ok_or_else(|| {
+            self.error(module, line, ErrorKind::MissingSource(target.to_string()))
+        })?;
+        let defs = match self.cache {
+            Some(cache) => cache.schema(&src, target)?,
+            None => Arc::new(parse_schema(&src, target)?),
+        };
+        self.schemas.load_defs(&defs, target)?;
+        // A schema file is always a dependency of the config.
+        self.deps.insert(target.to_string());
+        self.live(module).1.push(Effect::Schema {
+            path: target.to_string(),
+            defs,
+        });
+        Ok(Flow::Normal)
+    }
+
     fn lookup(&self, name: &str, module: usize, locals: Option<&Locals>) -> Option<Value> {
         if let Some(v) = locals.and_then(|l| l.get(name)) {
             return Some(v.clone());
@@ -593,6 +653,12 @@ impl<'l> Interp<'l> {
 
     fn eval(&mut self, expr: &Expr, module: usize, locals: Option<&Locals>) -> Result<Value> {
         self.charge(module, expr.line)?;
+        let value = self.eval_kind(expr, module, locals);
+        self.frames -= 1;
+        value
+    }
+
+    fn eval_kind(&mut self, expr: &Expr, module: usize, locals: Option<&Locals>) -> Result<Value> {
         match &expr.kind {
             ExprKind::Null => Ok(Value::Null),
             ExprKind::Bool(b) => Ok(Value::Bool(*b)),
@@ -613,27 +679,7 @@ impl<'l> Interp<'l> {
                 }
                 Ok(Value::list(out))
             }
-            ExprKind::Dict(items) => {
-                let mut map = BTreeMap::new();
-                for (k, v) in items {
-                    let key = match self.eval(k, module, locals)? {
-                        Value::Str(s) => s.to_string(),
-                        other => {
-                            return Err(self.error(
-                                module,
-                                expr.line,
-                                ErrorKind::Eval(format!(
-                                    "dict keys must be strings, found {}",
-                                    other.type_name()
-                                )),
-                            ))
-                        }
-                    };
-                    let value = self.eval(v, module, locals)?;
-                    map.insert(key, value);
-                }
-                Ok(Value::dict(map))
-            }
+            ExprKind::Dict(items) => self.eval_dict(items, expr.line, module, locals),
             ExprKind::Struct { name, fields } => {
                 let mut given: Vec<(String, Value)> = Vec::with_capacity(fields.len());
                 for (fname, fexpr) in fields {
@@ -644,18 +690,7 @@ impl<'l> Interp<'l> {
             ExprKind::Bin(op, lhs, rhs) => self.eval_bin(*op, lhs, rhs, module, locals),
             ExprKind::Un(op, inner) => {
                 let v = self.eval(inner, module, locals)?;
-                match op {
-                    UnOp::Not => Ok(Value::Bool(!v.truthy())),
-                    UnOp::Neg => match v {
-                        Value::Int(i) => Ok(Value::Int(-i)),
-                        Value::Float(f) => Ok(Value::Float(-f)),
-                        other => Err(self.error(
-                            module,
-                            expr.line,
-                            ErrorKind::Eval(format!("cannot negate a {}", other.type_name())),
-                        )),
-                    },
-                }
+                v.unary(*op).map_err(self.eval_error(module, expr.line))
             }
             ExprKind::Cond {
                 then,
@@ -671,37 +706,7 @@ impl<'l> Interp<'l> {
             ExprKind::Index(base, idx) => {
                 let b = self.eval(base, module, locals)?;
                 let i = self.eval(idx, module, locals)?;
-                match (&b, &i) {
-                    (Value::List(l), Value::Int(n)) => {
-                        let len = l.len() as i64;
-                        let k = if *n < 0 { n + len } else { *n };
-                        if k < 0 || k >= len {
-                            Err(self.error(
-                                module,
-                                expr.line,
-                                ErrorKind::Eval(format!("list index {n} out of range (len {len})")),
-                            ))
-                        } else {
-                            Ok(l[k as usize].clone())
-                        }
-                    }
-                    (Value::Dict(d), Value::Str(k)) => d.get(&**k).cloned().ok_or_else(|| {
-                        self.error(
-                            module,
-                            expr.line,
-                            ErrorKind::Eval(format!("missing dict key: {k}")),
-                        )
-                    }),
-                    _ => Err(self.error(
-                        module,
-                        expr.line,
-                        ErrorKind::Eval(format!(
-                            "cannot index {} with {}",
-                            b.type_name(),
-                            i.type_name()
-                        )),
-                    )),
-                }
+                b.index(&i).map_err(self.eval_error(module, expr.line))
             }
             ExprKind::Attr(base, attr) => {
                 // `EnumType.VARIANT` when the base name is an unbound enum.
@@ -719,60 +724,75 @@ impl<'l> Interp<'l> {
                     }
                 }
                 let b = self.eval(base, module, locals)?;
-                match &b {
-                    Value::Struct(s) => s.get(attr).cloned().ok_or_else(|| {
-                        self.error(
-                            module,
-                            expr.line,
-                            ErrorKind::Eval(format!("struct {} has no field {attr}", s.type_name)),
-                        )
-                    }),
-                    Value::Enum(e) if attr == "name" => Ok(Value::str(&e.variant)),
-                    Value::Enum(e) if attr == "value" => Ok(Value::Int(e.number)),
-                    other => Err(self.error(
-                        module,
-                        expr.line,
-                        ErrorKind::Eval(format!(
-                            "cannot access attribute {attr} on {}",
-                            other.type_name()
-                        )),
-                    )),
-                }
+                b.attr(attr).map_err(self.eval_error(module, expr.line))
             }
             ExprKind::Call {
                 callee,
                 args,
                 kwargs,
-            } => {
-                let f = self.eval(callee, module, locals)?;
-                let mut argv = Vec::with_capacity(args.len());
-                for a in args {
-                    argv.push(self.eval(a, module, locals)?);
+            } => self.eval_call(callee, args, kwargs, expr.line, module, locals),
+        }
+    }
+
+    fn eval_dict(
+        &mut self,
+        items: &[(Expr, Expr)],
+        line: u32,
+        module: usize,
+        locals: Option<&Locals>,
+    ) -> Result<Value> {
+        let mut map = BTreeMap::new();
+        for (k, v) in items {
+            let key = match self.eval(k, module, locals)? {
+                Value::Str(s) => s.to_string(),
+                other => {
+                    let m = format!("dict keys must be strings, found {}", other.type_name());
+                    return Err(self.error(module, line, ErrorKind::Eval(m)));
                 }
-                let mut kwargv = Vec::with_capacity(kwargs.len());
-                for (k, v) in kwargs {
-                    kwargv.push((k.clone(), self.eval(v, module, locals)?));
-                }
-                match f {
-                    Value::Func(func) => self.call_func(&func, argv, kwargv, module, expr.line),
-                    // Whatever a builtin rejects, it rejects at the call.
-                    Value::Builtin(name) => {
-                        self.call_builtin(name, argv, kwargv, module)
-                            .map_err(|mut e| {
-                                e.location = Location {
-                                    path: self.module_paths[module].to_string(),
-                                    line: expr.line,
-                                };
-                                e
-                            })
-                    }
-                    other => Err(self.error(
-                        module,
-                        expr.line,
-                        ErrorKind::Eval(format!("cannot call a {}", other.type_name())),
-                    )),
-                }
+            };
+            let value = self.eval(v, module, locals)?;
+            map.insert(key, value);
+        }
+        Ok(Value::dict(map))
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn eval_call(
+        &mut self,
+        callee: &Expr,
+        args: &[Expr],
+        kwargs: &[(String, Expr)],
+        line: u32,
+        module: usize,
+        locals: Option<&Locals>,
+    ) -> Result<Value> {
+        let f = self.eval(callee, module, locals)?;
+        let mut argv = Vec::with_capacity(args.len());
+        for a in args {
+            argv.push(self.eval(a, module, locals)?);
+        }
+        let mut kwargv = Vec::with_capacity(kwargs.len());
+        for (k, v) in kwargs {
+            kwargv.push((k.clone(), self.eval(v, module, locals)?));
+        }
+        match f {
+            Value::Func(func) => self.call_func(&func, argv, kwargv, module, line),
+            // Whatever a builtin rejects, it rejects at the call.
+            Value::Builtin(name) => {
+                self.call_builtin(name, argv, kwargv, module)
+                    .map_err(|mut e| {
+                        e.location = Location {
+                            path: self.module_paths[module].to_string(),
+                            line,
+                        };
+                        e
+                    })
             }
+            other => Err(self.error(
+                module,
+                line,
+                ErrorKind::Eval(format!("cannot call a {}", other.type_name())),
+            )),
         }
     }
 
@@ -791,84 +811,70 @@ impl<'l> Interp<'l> {
             ));
             return Err(self.error(caller, line, kind));
         };
-        self.depth += 1;
-        if self.depth > self.limits.max_depth {
-            self.depth -= 1;
-            return Err(self.error(
-                caller,
-                line,
-                ErrorKind::Budget(format!(
-                    "call depth exceeded {} in {}",
-                    self.limits.max_depth, f.def.name
-                )),
+        if self.depth >= self.limits.max_depth {
+            let kind = ErrorKind::Budget(format!(
+                "call depth exceeded {} in {}",
+                self.limits.max_depth, f.def.name
             ));
+            return Err(self.error(caller, line, kind));
         }
+        self.depth += 1;
+        // Binding is a function of its own so that what it needs on the
+        // native stack is gone again before the body runs.
+        let result = match self.bind_args(f, home, args, kwargs, caller, line) {
+            Ok(mut locals) => self.exec_stmts(&f.def.body, home, Some(&mut locals)),
+            Err(e) => Err(e),
+        };
+        self.depth -= 1;
+        match result? {
+            Flow::Return(v) => Ok(v),
+            Flow::Normal => Ok(Value::Null),
+        }
+    }
+
+    /// Binds a call's arguments to `f`'s parameters, evaluating the
+    /// defaults of those not given in `f`'s home module.
+    fn bind_args(
+        &mut self,
+        f: &FuncValue,
+        home: usize,
+        args: Vec<Value>,
+        kwargs: Vec<(String, Value)>,
+        caller: usize,
+        line: u32,
+    ) -> Result<Locals> {
+        let name = &f.def.name;
         let mut locals = Locals::new();
         if args.len() > f.def.params.len() {
-            self.depth -= 1;
-            return Err(self.error(
-                caller,
-                line,
-                ErrorKind::Eval(format!(
-                    "{} takes at most {} arguments, got {}",
-                    f.def.name,
-                    f.def.params.len(),
-                    args.len()
-                )),
-            ));
+            let (most, got) = (f.def.params.len(), args.len());
+            let m = format!("{name} takes at most {most} arguments, got {got}");
+            return Err(self.error(caller, line, ErrorKind::Eval(m)));
         }
         for (i, a) in args.into_iter().enumerate() {
             locals.insert(f.def.params[i].name.clone(), a);
         }
         for (k, v) in kwargs {
             if !f.def.params.iter().any(|p| p.name == k) {
-                self.depth -= 1;
-                return Err(self.error(
-                    caller,
-                    line,
-                    ErrorKind::Eval(format!("{} has no parameter {k}", f.def.name)),
-                ));
+                let m = format!("{name} has no parameter {k}");
+                return Err(self.error(caller, line, ErrorKind::Eval(m)));
             }
             if locals.contains_key(&k) {
-                self.depth -= 1;
-                return Err(self.error(
-                    caller,
-                    line,
-                    ErrorKind::Eval(format!(
-                        "duplicate value for parameter {k} of {}",
-                        f.def.name
-                    )),
-                ));
+                let m = format!("duplicate value for parameter {k} of {name}");
+                return Err(self.error(caller, line, ErrorKind::Eval(m)));
             }
             locals.insert(k, v);
         }
         for p in &f.def.params {
             if !locals.contains_key(&p.name) {
-                match &p.default {
-                    Some(d) => {
-                        let v = self.eval(d, home, None)?;
-                        locals.insert(p.name.clone(), v);
-                    }
-                    None => {
-                        self.depth -= 1;
-                        return Err(self.error(
-                            caller,
-                            line,
-                            ErrorKind::Eval(format!(
-                                "missing argument {} for {}",
-                                p.name, f.def.name
-                            )),
-                        ));
-                    }
-                }
+                let Some(default) = &p.default else {
+                    let m = format!("missing argument {} for {name}", p.name);
+                    return Err(self.error(caller, line, ErrorKind::Eval(m)));
+                };
+                let v = self.eval(default, home, None)?;
+                locals.insert(p.name.clone(), v);
             }
         }
-        let result = self.exec_stmts(&f.def.body, home, Some(&mut locals));
-        self.depth -= 1;
-        match result? {
-            Flow::Return(v) => Ok(v),
-            Flow::Normal => Ok(Value::Null),
-        }
+        Ok(locals)
     }
 
     fn eval_bin(
@@ -879,146 +885,14 @@ impl<'l> Interp<'l> {
         module: usize,
         locals: Option<&Locals>,
     ) -> Result<Value> {
-        // Short-circuit operators first.
-        match op {
-            BinOp::And => {
-                let l = self.eval(lhs, module, locals)?;
-                return if l.truthy() {
-                    self.eval(rhs, module, locals)
-                } else {
-                    Ok(l)
-                };
-            }
-            BinOp::Or => {
-                let l = self.eval(lhs, module, locals)?;
-                return if l.truthy() {
-                    Ok(l)
-                } else {
-                    self.eval(rhs, module, locals)
-                };
-            }
-            _ => {}
-        }
         let l = self.eval(lhs, module, locals)?;
-        let r = self.eval(rhs, module, locals)?;
-        let err = |m: String| self.error(module, lhs.line, ErrorKind::Eval(m));
-        let num = |v: &Value| -> Option<f64> {
-            match v {
-                Value::Int(i) => Some(*i as f64),
-                Value::Float(f) => Some(*f),
-                _ => None,
-            }
-        };
-        match op {
-            BinOp::Add => match (&l, &r) {
-                (Value::Int(a), Value::Int(b)) => a
-                    .checked_add(*b)
-                    .map(Value::Int)
-                    .ok_or_else(|| err("integer overflow in +".into())),
-                (Value::Str(a), Value::Str(b)) => Ok(Value::str(format!("{a}{b}"))),
-                (Value::List(a), Value::List(b)) => {
-                    let mut out = a.to_vec();
-                    out.extend(b.iter().cloned());
-                    Ok(Value::list(out))
-                }
-                _ => match (num(&l), num(&r)) {
-                    (Some(a), Some(b)) => Ok(Value::Float(a + b)),
-                    _ => Err(err(format!(
-                        "cannot add {} and {}",
-                        l.type_name(),
-                        r.type_name()
-                    ))),
-                },
-            },
-            BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => {
-                match (&l, &r, op) {
-                    (Value::Int(a), Value::Int(b), BinOp::Sub) => {
-                        return a
-                            .checked_sub(*b)
-                            .map(Value::Int)
-                            .ok_or_else(|| err("integer overflow in -".into()));
-                    }
-                    (Value::Int(a), Value::Int(b), BinOp::Mul) => {
-                        return a
-                            .checked_mul(*b)
-                            .map(Value::Int)
-                            .ok_or_else(|| err("integer overflow in *".into()));
-                    }
-                    (Value::Int(a), Value::Int(b), BinOp::Mod) => {
-                        return if *b == 0 {
-                            Err(err("modulo by zero".into()))
-                        } else {
-                            Ok(Value::Int(a.rem_euclid(*b)))
-                        };
-                    }
-                    _ => {}
-                }
-                match (num(&l), num(&r)) {
-                    (Some(a), Some(b)) => match op {
-                        BinOp::Sub => Ok(Value::Float(a - b)),
-                        BinOp::Mul => Ok(Value::Float(a * b)),
-                        BinOp::Div => {
-                            if b == 0.0 {
-                                Err(err("division by zero".into()))
-                            } else {
-                                Ok(Value::Float(a / b))
-                            }
-                        }
-                        BinOp::Mod => {
-                            if b == 0.0 {
-                                Err(err("modulo by zero".into()))
-                            } else {
-                                Ok(Value::Float(a.rem_euclid(b)))
-                            }
-                        }
-                        _ => unreachable!("handled above"),
-                    },
-                    _ => Err(err(format!(
-                        "numeric operator on {} and {}",
-                        l.type_name(),
-                        r.type_name()
-                    ))),
-                }
-            }
-            BinOp::Eq => Ok(Value::Bool(l == r)),
-            BinOp::Ne => Ok(Value::Bool(l != r)),
-            BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                let ord = match (&l, &r) {
-                    (Value::Str(a), Value::Str(b)) => a.cmp(b),
-                    _ => match (num(&l), num(&r)) {
-                        (Some(a), Some(b)) => a
-                            .partial_cmp(&b)
-                            .ok_or_else(|| err("cannot order NaN".into()))?,
-                        _ => {
-                            return Err(err(format!(
-                                "cannot order {} and {}",
-                                l.type_name(),
-                                r.type_name()
-                            )))
-                        }
-                    },
-                };
-                let b = match op {
-                    BinOp::Lt => ord.is_lt(),
-                    BinOp::Le => ord.is_le(),
-                    BinOp::Gt => ord.is_gt(),
-                    BinOp::Ge => ord.is_ge(),
-                    _ => unreachable!(),
-                };
-                Ok(Value::Bool(b))
-            }
-            BinOp::In => match (&l, &r) {
-                (v, Value::List(items)) => Ok(Value::Bool(items.contains(v))),
-                (Value::Str(k), Value::Dict(d)) => Ok(Value::Bool(d.contains_key(&**k))),
-                (Value::Str(needle), Value::Str(hay)) => Ok(Value::Bool(hay.contains(&**needle))),
-                _ => Err(err(format!(
-                    "cannot test {} in {}",
-                    l.type_name(),
-                    r.type_name()
-                ))),
-            },
-            BinOp::And | BinOp::Or => unreachable!("handled above"),
+        // `and`/`or` leave the right operand unevaluated when the left
+        // decides.
+        if matches!((op, l.truthy()), (BinOp::And, false) | (BinOp::Or, true)) {
+            return Ok(l);
         }
+        let r = self.eval(rhs, module, locals)?;
+        l.binary(op, &r).map_err(self.eval_error(module, lhs.line))
     }
 
     /// Constructs a schema struct: type-checks fields, fills defaults,
@@ -1043,19 +917,19 @@ impl<'l> Interp<'l> {
         }
         let mut fields = Vec::with_capacity(def.fields.len());
         for fdef in &def.fields {
-            let provided = given.iter().find(|(n, _)| *n == fdef.name);
-            let value = match provided {
-                Some((_, v)) => self.coerce(v.clone(), &fdef.ty, &fdef.name, name, module, line)?,
-                None => match &fdef.default {
-                    Some(d) => self.coerce(d.clone(), &fdef.ty, &fdef.name, name, module, line)?,
-                    None if fdef.optional => Value::Null,
-                    None => {
-                        return Err(err(format!(
-                            "missing required field {} of struct {name}",
-                            fdef.name
-                        )))
-                    }
-                },
+            let provided = given.iter().find(|(n, _)| *n == fdef.name).map(|(_, v)| v);
+            let value = match provided.or(fdef.default.as_ref()) {
+                Some(v) => self
+                    .schemas
+                    .coerce(v, &fdef.ty)
+                    .map_err(|m| err(format!("field {name}.{}: {m}", fdef.name)))?,
+                None if fdef.optional => Value::Null,
+                None => {
+                    return Err(err(format!(
+                        "missing required field {} of struct {name}",
+                        fdef.name
+                    )))
+                }
             };
             fields.push((fdef.name.clone(), value));
         }
@@ -1063,80 +937,6 @@ impl<'l> Interp<'l> {
             type_name: name.to_string(),
             fields,
         })))
-    }
-
-    /// Checks and coerces `v` to type `ty`.
-    fn coerce(
-        &self,
-        v: Value,
-        ty: &Type,
-        field: &str,
-        in_struct: &str,
-        module: usize,
-        line: u32,
-    ) -> Result<Value> {
-        let type_err = |m: String| self.error(module, line, ErrorKind::Type(m));
-        let mismatch = |v: &Value| {
-            type_err(format!(
-                "field {in_struct}.{field}: expected {}, found {}",
-                ty.render(),
-                v.type_name()
-            ))
-        };
-        match (ty, v) {
-            (Type::Bool, v @ Value::Bool(_)) => Ok(v),
-            (Type::I32, Value::Int(i)) => {
-                if i32::try_from(i).is_ok() {
-                    Ok(Value::Int(i))
-                } else {
-                    Err(type_err(format!(
-                        "field {in_struct}.{field}: {i} out of range for i32"
-                    )))
-                }
-            }
-            (Type::I64, v @ Value::Int(_)) => Ok(v),
-            (Type::Double, Value::Int(i)) => Ok(Value::Float(i as f64)),
-            (Type::Double, v @ Value::Float(_)) => Ok(v),
-            (Type::String, v @ Value::Str(_)) => Ok(v),
-            (Type::List(inner), Value::List(items)) => {
-                let mut out = Vec::with_capacity(items.len());
-                for item in items.iter() {
-                    out.push(self.coerce(item.clone(), inner, field, in_struct, module, line)?);
-                }
-                Ok(Value::list(out))
-            }
-            (Type::Map(inner), Value::Dict(map)) => {
-                let mut out = BTreeMap::new();
-                for (k, item) in map.iter() {
-                    out.insert(
-                        k.clone(),
-                        self.coerce(item.clone(), inner, field, in_struct, module, line)?,
-                    );
-                }
-                Ok(Value::dict(out))
-            }
-            (Type::Named(tname), v) => match self.schemas.get(tname) {
-                Some(TypeDef::Enum(e)) => match &v {
-                    Value::Enum(ev) if ev.enum_name == *tname => Ok(v),
-                    // A bare string (e.g. a schema default) resolves to the
-                    // variant of that name.
-                    Value::Str(s) => e.variant(s).ok_or_else(|| {
-                        type_err(format!(
-                            "field {in_struct}.{field}: enum {tname} has no variant {s}"
-                        ))
-                    }),
-                    other => Err(mismatch(other)),
-                },
-                Some(TypeDef::Struct(_)) => match &v {
-                    Value::Struct(sv) if sv.type_name == *tname => Ok(v),
-                    other => Err(mismatch(other)),
-                },
-                None => Err(type_err(format!(
-                    "field {in_struct}.{field}: unknown type {tname}"
-                ))),
-            },
-            (_, other) => Err(mismatch(&other)),
-        }
     }
 
     fn call_builtin(
@@ -1242,10 +1042,11 @@ impl<'l> Interp<'l> {
                     (Some(Value::Int(a)), Some(Value::Int(b))) => (*a, *b),
                     _ => return Err(err("range expects integer arguments".into())),
                 };
-                if hi - lo > self.limits.max_range {
+                // A width that does not fit an i64 is too large, not negative.
+                let fits = |w: i64| w <= self.limits.max_range;
+                if hi > lo && !hi.checked_sub(lo).is_some_and(fits) {
                     return Err(CdslError::nowhere(ErrorKind::Budget(format!(
-                        "range too large: {}",
-                        hi - lo
+                        "range too large: {lo}..{hi}"
                     ))));
                 }
                 Ok(Value::list((lo..hi).map(Value::Int).collect()))
@@ -1264,7 +1065,7 @@ impl<'l> Interp<'l> {
                 }
                 let mut best = items[0].clone();
                 for v in &items[1..] {
-                    let swap = match (vnum(v), vnum(&best)) {
+                    let swap = match (v.num(), best.num()) {
                         (Some(a), Some(b)) => {
                             if name == "min" {
                                 a < b
@@ -1292,7 +1093,7 @@ impl<'l> Interp<'l> {
             "abs" => {
                 arity(1..=1)?;
                 match &args[0] {
-                    Value::Int(i) => Ok(Value::Int(i.abs())),
+                    Value::Int(i) => int_result(i.checked_abs(), "abs").map_err(err),
                     Value::Float(f) => Ok(Value::Float(f.abs())),
                     other => Err(err(format!("abs of {}", other.type_name()))),
                 }
@@ -1306,7 +1107,11 @@ impl<'l> Interp<'l> {
                         let mut is_float = false;
                         for v in l.iter() {
                             match v {
-                                Value::Int(i) => acc_i += i,
+                                Value::Int(i) => {
+                                    acc_i = acc_i
+                                        .checked_add(*i)
+                                        .ok_or_else(|| err("integer overflow in sum".into()))?
+                                }
                                 Value::Float(f) => {
                                     is_float = true;
                                     acc_f += f;
@@ -1334,7 +1139,7 @@ impl<'l> Interp<'l> {
                     Value::List(l) => {
                         let mut items = l.to_vec();
                         let mut bad = None;
-                        items.sort_by(|a, b| match (vnum(a), vnum(b)) {
+                        items.sort_by(|a, b| match (a.num(), b.num()) {
                             (Some(x), Some(y)) => {
                                 x.partial_cmp(&y).unwrap_or(std::cmp::Ordering::Equal)
                             }
@@ -1482,14 +1287,6 @@ fn scope_of(slot: &Slot) -> &Scope {
     match slot {
         Slot::Live { scope, .. } => scope,
         Slot::Done(module) => &module.scope,
-    }
-}
-
-fn vnum(v: &Value) -> Option<f64> {
-    match v {
-        Value::Int(i) => Some(*i as f64),
-        Value::Float(f) => Some(*f),
-        _ => None,
     }
 }
 

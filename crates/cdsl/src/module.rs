@@ -87,6 +87,9 @@ pub(crate) struct FrozenModule {
     /// Steps its own statements consumed (imports are charged by the
     /// modules in `effects`).
     pub(crate) own_steps: u64,
+    /// Evaluator frames it took at its deepest, imports included: how far
+    /// under the frame budget an interpreter must be to link it.
+    pub(crate) frames: u32,
 }
 
 /// What the store knows about a path.

@@ -29,10 +29,23 @@ use crate::ast::{BinOp, Expr, ExprKind, FuncDef, Module, Param, Stmt, StmtKind, 
 use crate::error::{CdslError, ErrorKind, Result};
 use crate::lexer::{lex, Spanned, Tok};
 
+/// Deepest nesting the parsers accept: blocks within blocks, expressions
+/// within expressions, counted from the module down to the innermost
+/// operand (and, in [`crate::schema`], containers within a field type).
+/// Everything that recurses over syntax — this parser, the verifier's
+/// passes, `Drop` — recurses at most this deep, so a few kilobytes of
+/// brackets cannot overflow the native stack. It is sized by
+/// `tests/nesting.rs`, which takes the deepest accepted programs through
+/// all of those on a 1 MiB stack in the debug build, where one level of
+/// parentheses is ten parser frames and 20 KB. A constant rather than a
+/// [`crate::Limits`] field because it guards the process, not the config:
+/// hand-written configs nest a quarter as deep, and no caller has a reason
+/// to set it differently.
+pub(crate) const MAX_NESTING: u32 = 40;
+
 /// Parses `src` (reporting errors against `path`) into a [`Module`].
 pub fn parse(src: &str, path: &str) -> Result<Module> {
-    let toks = lex(src, path)?;
-    let mut p = Parser { toks, pos: 0, path };
+    let mut p = Parser::new(lex(src, path)?, path);
     let mut stmts = Vec::new();
     while !p.at(&Tok::Eof) {
         stmts.push(p.stmt()?);
@@ -42,8 +55,7 @@ pub fn parse(src: &str, path: &str) -> Result<Module> {
 
 /// Parses a single expression (used by the Sitevars shim and tests).
 pub fn parse_expr(src: &str, path: &str) -> Result<Expr> {
-    let toks = lex(src, path)?;
-    let mut p = Parser { toks, pos: 0, path };
+    let mut p = Parser::new(lex(src, path)?, path);
     let e = p.expr()?;
     p.eat_newlines();
     if !p.at(&Tok::Eof) {
@@ -59,9 +71,57 @@ struct Parser<'a> {
     toks: Vec<Spanned>,
     pos: usize,
     path: &'a str,
+    /// Blocks and expressions open around the current token.
+    depth: u32,
+    /// Levels of syntax tree in the expression parsed last (an atom is 1).
+    /// A run of left-associative operators or postfixes grows the tree
+    /// downwards without the parser recursing, so `depth` alone would not
+    /// see it.
+    height: u32,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn new(toks: Vec<Spanned>, path: &'a str) -> Parser<'a> {
+        Parser {
+            toks,
+            pos: 0,
+            path,
+            depth: 0,
+            height: 0,
+        }
+    }
+
+    /// Enters a nested block or expression; the caller leaves it with
+    /// `self.depth -= 1` (a parse error abandons the parser instead).
+    fn nest(&mut self) -> Result<()> {
+        self.depth += 1;
+        self.check_nesting(0)
+    }
+
+    fn check_nesting(&self, below: u32) -> Result<()> {
+        if self.depth + below > MAX_NESTING {
+            return Err(self.err(format!("nested more than {MAX_NESTING} levels deep")));
+        }
+        Ok(())
+    }
+
+    /// Builds the expression `kind` over sub-expressions of which the
+    /// tallest is `below` levels high.
+    fn node(&mut self, line: u32, kind: ExprKind, below: u32) -> Result<Expr> {
+        self.height = below + 1;
+        self.check_nesting(self.height)?;
+        Ok(Expr { line, kind })
+    }
+
+    fn bin(&mut self, line: u32, op: BinOp, lhs: Expr, lhs_height: u32, rhs: Expr) -> Result<Expr> {
+        let kind = ExprKind::Bin(op, Box::new(lhs), Box::new(rhs));
+        self.node(line, kind, lhs_height.max(self.height))
+    }
+
+    fn un(&mut self, line: u32, op: UnOp, operand: Expr) -> Result<Expr> {
+        self.node(line, ExprKind::Un(op, Box::new(operand)), self.height)
+    }
+
     fn cur(&self) -> &Tok {
         &self.toks[self.pos].tok
     }
@@ -197,9 +257,12 @@ impl Parser<'_> {
         self.expect(&Tok::Colon, "':'")?;
         let then = self.block()?;
         let otherwise = if self.at_kw("elif") {
+            // An `elif` arm is an `if` nested in the `else` of the last.
             let line = self.line();
             self.bump();
+            self.nest()?;
             let inner = self.if_stmt()?;
+            self.depth -= 1;
             vec![Stmt { line, kind: inner }]
         } else if self.at_kw("else") {
             self.bump();
@@ -250,6 +313,7 @@ impl Parser<'_> {
 
     /// Parses an indented block: NEWLINE INDENT stmt+ DEDENT.
     fn block(&mut self) -> Result<Vec<Stmt>> {
+        self.nest()?;
         self.expect(&Tok::Newline, "newline before block")?;
         self.expect(&Tok::Indent, "indented block")?;
         let mut stmts = Vec::new();
@@ -267,40 +331,44 @@ impl Parser<'_> {
         if stmts.is_empty() {
             return Err(self.err("empty block"));
         }
+        self.depth -= 1;
         Ok(stmts)
     }
 
     fn expr(&mut self) -> Result<Expr> {
+        self.nest()?;
         let line = self.line();
-        let value = self.or_expr()?;
+        let mut value = self.or_expr()?;
         // Python-style conditional expression: `a if cond else b`.
         if self.at_kw("if") {
+            let mut below = self.height;
             self.bump();
             let cond = self.or_expr()?;
+            below = below.max(self.height);
             if !self.at_kw("else") {
                 return Err(self.err("expected 'else' in conditional expression"));
             }
             self.bump();
             let otherwise = self.expr()?;
-            return Ok(Expr {
-                line,
-                kind: ExprKind::Cond {
-                    then: Box::new(value),
-                    cond: Box::new(cond),
-                    otherwise: Box::new(otherwise),
-                },
-            });
+            below = below.max(self.height);
+            let kind = ExprKind::Cond {
+                then: Box::new(value),
+                cond: Box::new(cond),
+                otherwise: Box::new(otherwise),
+            };
+            value = self.node(line, kind, below)?;
         }
+        self.depth -= 1;
         Ok(value)
     }
 
     fn or_expr(&mut self) -> Result<Expr> {
         let mut lhs = self.and_expr()?;
         while self.at_kw("or") {
-            let line = self.line();
+            let (line, lhs_height) = (self.line(), self.height);
             self.bump();
             let rhs = self.and_expr()?;
-            lhs = bin(line, BinOp::Or, lhs, rhs);
+            lhs = self.bin(line, BinOp::Or, lhs, lhs_height, rhs)?;
         }
         Ok(lhs)
     }
@@ -308,10 +376,10 @@ impl Parser<'_> {
     fn and_expr(&mut self) -> Result<Expr> {
         let mut lhs = self.not_expr()?;
         while self.at_kw("and") {
-            let line = self.line();
+            let (line, lhs_height) = (self.line(), self.height);
             self.bump();
             let rhs = self.not_expr()?;
-            lhs = bin(line, BinOp::And, lhs, rhs);
+            lhs = self.bin(line, BinOp::And, lhs, lhs_height, rhs)?;
         }
         Ok(lhs)
     }
@@ -320,18 +388,17 @@ impl Parser<'_> {
         if self.at_kw("not") {
             let line = self.line();
             self.bump();
+            self.nest()?;
             let e = self.not_expr()?;
-            return Ok(Expr {
-                line,
-                kind: ExprKind::Un(UnOp::Not, Box::new(e)),
-            });
+            self.depth -= 1;
+            return self.un(line, UnOp::Not, e);
         }
         self.cmp_expr()
     }
 
     fn cmp_expr(&mut self) -> Result<Expr> {
         let lhs = self.add_expr()?;
-        let line = self.line();
+        let (line, lhs_height) = (self.line(), self.height);
         let op = match self.cur() {
             Tok::Eq => Some(BinOp::Eq),
             Tok::Ne => Some(BinOp::Ne),
@@ -349,11 +416,8 @@ impl Parser<'_> {
                     self.bump();
                     self.bump();
                     let rhs = self.add_expr()?;
-                    let inner = bin(line, BinOp::In, lhs, rhs);
-                    return Ok(Expr {
-                        line,
-                        kind: ExprKind::Un(UnOp::Not, Box::new(inner)),
-                    });
+                    let inner = self.bin(line, BinOp::In, lhs, lhs_height, rhs)?;
+                    return self.un(line, UnOp::Not, inner);
                 }
                 None
             }
@@ -363,7 +427,7 @@ impl Parser<'_> {
             Some(op) => {
                 self.bump();
                 let rhs = self.add_expr()?;
-                Ok(bin(line, op, lhs, rhs))
+                self.bin(line, op, lhs, lhs_height, rhs)
             }
             None => Ok(lhs),
         }
@@ -372,7 +436,7 @@ impl Parser<'_> {
     fn add_expr(&mut self) -> Result<Expr> {
         let mut lhs = self.mul_expr()?;
         loop {
-            let line = self.line();
+            let (line, lhs_height) = (self.line(), self.height);
             let op = match self.cur() {
                 Tok::Plus => BinOp::Add,
                 Tok::Minus => BinOp::Sub,
@@ -380,7 +444,7 @@ impl Parser<'_> {
             };
             self.bump();
             let rhs = self.mul_expr()?;
-            lhs = bin(line, op, lhs, rhs);
+            lhs = self.bin(line, op, lhs, lhs_height, rhs)?;
         }
         Ok(lhs)
     }
@@ -388,7 +452,7 @@ impl Parser<'_> {
     fn mul_expr(&mut self) -> Result<Expr> {
         let mut lhs = self.unary_expr()?;
         loop {
-            let line = self.line();
+            let (line, lhs_height) = (self.line(), self.height);
             let op = match self.cur() {
                 Tok::Star => BinOp::Mul,
                 Tok::Slash => BinOp::Div,
@@ -397,7 +461,7 @@ impl Parser<'_> {
             };
             self.bump();
             let rhs = self.unary_expr()?;
-            lhs = bin(line, op, lhs, rhs);
+            lhs = self.bin(line, op, lhs, lhs_height, rhs)?;
         }
         Ok(lhs)
     }
@@ -406,11 +470,10 @@ impl Parser<'_> {
         if self.at(&Tok::Minus) {
             let line = self.line();
             self.bump();
+            self.nest()?;
             let e = self.unary_expr()?;
-            return Ok(Expr {
-                line,
-                kind: ExprKind::Un(UnOp::Neg, Box::new(e)),
-            });
+            self.depth -= 1;
+            return self.un(line, UnOp::Neg, e);
         }
         self.postfix_expr()
     }
@@ -418,46 +481,44 @@ impl Parser<'_> {
     fn postfix_expr(&mut self) -> Result<Expr> {
         let mut e = self.atom()?;
         loop {
-            let line = self.line();
-            match self.cur() {
+            let (line, base_height) = (self.line(), self.height);
+            // Each arm: the node, and the height of what it adds beside `e`.
+            let (kind, beside) = match self.cur() {
                 Tok::LParen => {
                     self.bump();
                     let (args, kwargs) = self.call_args()?;
-                    e = Expr {
-                        line,
-                        kind: ExprKind::Call {
-                            callee: Box::new(e),
-                            args,
-                            kwargs,
-                        },
+                    let callee = Box::new(e);
+                    let kind = ExprKind::Call {
+                        callee,
+                        args,
+                        kwargs,
                     };
+                    (kind, self.height)
                 }
                 Tok::LBracket => {
                     self.bump();
                     let idx = self.expr()?;
                     self.expect(&Tok::RBracket, "']'")?;
-                    e = Expr {
-                        line,
-                        kind: ExprKind::Index(Box::new(e), Box::new(idx)),
-                    };
+                    (ExprKind::Index(Box::new(e), Box::new(idx)), self.height)
                 }
                 Tok::Dot => {
                     self.bump();
                     let name = self.expect_ident("attribute name")?;
-                    e = Expr {
-                        line,
-                        kind: ExprKind::Attr(Box::new(e), name),
-                    };
+                    (ExprKind::Attr(Box::new(e), name), 0)
                 }
                 _ => break,
-            }
+            };
+            e = self.node(line, kind, base_height.max(beside))?;
         }
         Ok(e)
     }
 
+    /// Parses call arguments, leaving the height of the tallest in
+    /// `self.height`.
     fn call_args(&mut self) -> Result<(Vec<Expr>, KwArgs)> {
         let mut args = Vec::new();
         let mut kwargs: Vec<(String, Expr)> = Vec::new();
+        let mut tallest = 0;
         while !self.at(&Tok::RParen) {
             // Lookahead for `name=`.
             let is_kw = matches!(self.cur(), Tok::Ident(s) if !is_keyword(s))
@@ -476,6 +537,7 @@ impl Parser<'_> {
                 }
                 args.push(self.expr()?);
             }
+            tallest = tallest.max(self.height);
             if self.at(&Tok::Comma) {
                 self.bump();
             } else {
@@ -483,11 +545,13 @@ impl Parser<'_> {
             }
         }
         self.expect(&Tok::RParen, "')'")?;
+        self.height = tallest;
         Ok((args, kwargs))
     }
 
     fn atom(&mut self) -> Result<Expr> {
         let line = self.line();
+        let mut below = 0;
         let kind = match self.cur().clone() {
             Tok::Int(v) => {
                 self.bump();
@@ -518,6 +582,7 @@ impl Parser<'_> {
                 if self.at(&Tok::LBrace) {
                     self.bump();
                     let fields = self.struct_fields()?;
+                    below = self.height;
                     ExprKind::Struct { name: s, fields }
                 } else {
                     ExprKind::Name(s)
@@ -534,6 +599,7 @@ impl Parser<'_> {
                 let mut items = Vec::new();
                 while !self.at(&Tok::RBracket) {
                     items.push(self.expr()?);
+                    below = below.max(self.height);
                     if self.at(&Tok::Comma) {
                         self.bump();
                     } else {
@@ -548,8 +614,10 @@ impl Parser<'_> {
                 let mut items = Vec::new();
                 while !self.at(&Tok::RBrace) {
                     let k = self.expr()?;
+                    below = below.max(self.height);
                     self.expect(&Tok::Colon, "':' in dict literal")?;
                     let v = self.expr()?;
+                    below = below.max(self.height);
                     items.push((k, v));
                     if self.at(&Tok::Comma) {
                         self.bump();
@@ -562,15 +630,19 @@ impl Parser<'_> {
             }
             other => return Err(self.err(format!("unexpected token: {other:?}"))),
         };
-        Ok(Expr { line, kind })
+        self.node(line, kind, below)
     }
 
+    /// Parses struct literal fields, leaving the height of the tallest in
+    /// `self.height`.
     fn struct_fields(&mut self) -> Result<Vec<(String, Expr)>> {
         let mut fields: Vec<(String, Expr)> = Vec::new();
+        let mut tallest = 0;
         while !self.at(&Tok::RBrace) {
             let name = self.expect_ident("field name")?;
             self.expect(&Tok::Colon, "':' in struct literal")?;
             let value = self.expr()?;
+            tallest = tallest.max(self.height);
             if fields.iter().any(|(n, _)| *n == name) {
                 return Err(self.err(format!("duplicate field: {name}")));
             }
@@ -582,14 +654,8 @@ impl Parser<'_> {
             }
         }
         self.expect(&Tok::RBrace, "'}'")?;
+        self.height = tallest;
         Ok(fields)
-    }
-}
-
-fn bin(line: u32, op: BinOp, lhs: Expr, rhs: Expr) -> Expr {
-    Expr {
-        line,
-        kind: ExprKind::Bin(op, Box::new(lhs), Box::new(rhs)),
     }
 }
 
@@ -769,6 +835,44 @@ mod tests {
     #[test]
     fn positional_after_keyword_rejected() {
         assert!(parse("x = f(a=1, 2)", "t").is_err());
+    }
+
+    #[test]
+    fn the_parser_knows_how_tall_the_tree_it_built_is() {
+        fn height(e: &Expr) -> u32 {
+            let mut below = 0;
+            e.for_each_child(&mut |child| below = below.max(height(child)));
+            below + 1
+        }
+        // Every node kind, with its tallest operand in each position.
+        for src in [
+            "1",
+            "((x))",
+            "[1, [2, [3]], 4]",
+            "{\"a\": {\"b\": 1}, [\"k\"][0]: 2}",
+            "T { a: 1, b: U { c: [2] } }",
+            "1 + 2 * 3 - (4 + (5 + 6))",
+            "a or b and not c == d",
+            "x not in [[y]]",
+            "- - -x",
+            "f(g(h(1)), k=[[2]])(3)",
+            "f(k=g(h(1)))",
+            "a[b[c[0]]].d.e[1]",
+            "[[1]] if [2] else 3",
+            "1 if [[2]] else 3",
+            "1 if 2 else 3 if 4 else [[5]]",
+        ] {
+            let mut p = Parser::new(lex(src, "t").unwrap(), "t");
+            let e = p.expr().unwrap();
+            assert_eq!(p.height, height(&e), "{src}");
+            assert_eq!(p.depth, 0, "{src}");
+        }
+        // The bound is on the whole tree, blocks included.
+        let deep = format!("if a:\n    x = {}1{}", "[".repeat(37), "]".repeat(37));
+        assert!(parse(&deep, "t").is_ok());
+        let deeper = format!("if a:\n    x = {}1{}", "[".repeat(38), "]".repeat(38));
+        let e = parse(&deeper, "t").unwrap_err();
+        assert!(e.message().contains("nested more than 40"), "{e}");
     }
 
     #[test]

@@ -28,6 +28,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::error::{CdslError, ErrorKind, Result};
+use crate::parser::MAX_NESTING;
 use crate::value::{EnumValue, Value};
 
 /// A field or container type.
@@ -136,6 +137,12 @@ impl TypeDef {
     }
 }
 
+/// How [`SchemaSet::coerce`]'s `Err` text begins when the field's type names
+/// a type no loaded schema defines. The interpreter reports it like any
+/// other; the verifier, whose schema set may be narrower than the one the
+/// code would run under, stays silent on exactly this case.
+pub(crate) const UNKNOWN_TYPE: &str = "unknown type";
+
 /// A set of type definitions accumulated from loaded schema files.
 #[derive(Debug, Clone, Default)]
 pub struct SchemaSet {
@@ -186,6 +193,52 @@ impl SchemaSet {
         self.types.is_empty()
     }
 
+    /// Checks `v` against `ty` and returns it as a field of that type
+    /// holds it (an int widened to `double`, a bare variant name resolved
+    /// to its enum). This is the one rule for what a typed field accepts:
+    /// struct construction reports the `Err` text, prefixed with the
+    /// field, and so does the static verifier.
+    pub fn coerce(&self, v: &Value, ty: &Type) -> std::result::Result<Value, String> {
+        let mismatch = || Err(format!("expected {}, found {}", ty.render(), v.type_name()));
+        match (ty, v) {
+            (Type::Bool, Value::Bool(_))
+            | (Type::I64, Value::Int(_))
+            | (Type::Double, Value::Float(_))
+            | (Type::String, Value::Str(_)) => Ok(v.clone()),
+            (Type::I32, Value::Int(i)) if i32::try_from(*i).is_ok() => Ok(v.clone()),
+            (Type::I32, Value::Int(i)) => Err(format!("{i} out of range for i32")),
+            (Type::Double, Value::Int(i)) => Ok(Value::Float(*i as f64)),
+            (Type::List(inner), Value::List(items)) => {
+                let items: std::result::Result<_, _> =
+                    items.iter().map(|item| self.coerce(item, inner)).collect();
+                items.map(Value::list)
+            }
+            (Type::Map(inner), Value::Dict(map)) => {
+                let entries: std::result::Result<_, _> = map
+                    .iter()
+                    .map(|(k, item)| Ok((k.clone(), self.coerce(item, inner)?)))
+                    .collect();
+                entries.map(Value::dict)
+            }
+            (Type::Named(tname), v) => match (self.get(tname), v) {
+                (Some(TypeDef::Enum(_)), Value::Enum(ev)) if ev.enum_name == *tname => {
+                    Ok(v.clone())
+                }
+                // A bare string (e.g. a schema default) resolves to the
+                // variant of that name.
+                (Some(TypeDef::Enum(e)), Value::Str(s)) => e
+                    .variant(s)
+                    .ok_or_else(|| format!("enum {tname} has no variant {s}")),
+                (Some(TypeDef::Struct(_)), Value::Struct(sv)) if sv.type_name == *tname => {
+                    Ok(v.clone())
+                }
+                (Some(_), _) => mismatch(),
+                (None, _) => Err(format!("{UNKNOWN_TYPE} {tname}")),
+            },
+            _ => mismatch(),
+        }
+    }
+
     /// Parses the schema source at `path` and merges its definitions.
     /// Redefining an existing type with different content is an error;
     /// identical redefinition (the same file loaded twice) is a no-op.
@@ -230,6 +283,7 @@ pub fn parse_schema(src: &str, path: &str) -> Result<Vec<TypeDef>> {
         toks: schema_lex(src, path)?,
         pos: 0,
         path,
+        nesting: 0,
     };
     let mut defs = Vec::new();
     while !p.at_eof() {
@@ -386,6 +440,8 @@ struct SchemaParser<'a> {
     toks: Vec<(STok, u32)>,
     pos: usize,
     path: &'a str,
+    /// Containers open around the type being parsed.
+    nesting: u32,
 }
 
 impl SchemaParser<'_> {
@@ -482,7 +538,7 @@ impl SchemaParser<'_> {
         let name = self.word("enum name")?;
         self.expect(STok::LBrace, "'{'")?;
         let mut variants: Vec<(String, i64)> = Vec::new();
-        let mut next = 0i64;
+        let mut next = Some(0i64);
         while *self.cur() != STok::RBrace {
             let vname = self.word("variant name")?;
             let number = if *self.cur() == STok::Assign {
@@ -494,9 +550,9 @@ impl SchemaParser<'_> {
                     }
                 }
             } else {
-                next
+                next.ok_or_else(|| self.err(format!("variant {vname} overflows i64")))?
             };
-            next = number + 1;
+            next = number.checked_add(1);
             if variants.iter().any(|(n, _)| *n == vname) {
                 return Err(self.err(format!("duplicate variant: {vname}")));
             }
@@ -513,8 +569,12 @@ impl SchemaParser<'_> {
     }
 
     fn parse_type(&mut self) -> Result<Type> {
+        self.nesting += 1;
+        if self.nesting > MAX_NESTING {
+            return Err(self.err(format!("type nested more than {MAX_NESTING} levels deep")));
+        }
         let w = self.word("type")?;
-        Ok(match w.as_str() {
+        let ty = match w.as_str() {
             "bool" => Type::Bool,
             "i32" => Type::I32,
             "i64" => Type::I64,
@@ -538,7 +598,9 @@ impl SchemaParser<'_> {
                 Type::Map(Box::new(val))
             }
             other => Type::Named(other.to_string()),
-        })
+        };
+        self.nesting -= 1;
+        Ok(ty)
     }
 
     /// Parses a default value literal appropriate to `ty`. Enum defaults are

@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-use crate::ast::FuncDef;
+use crate::ast::{BinOp, FuncDef, UnOp};
 
 /// A runtime value.
 #[derive(Debug, Clone)]
@@ -127,6 +127,133 @@ impl Value {
         }
     }
 
+    /// The value as a float, if it is a number.
+    pub(crate) fn num(&self) -> Option<f64> {
+        match self {
+            Value::Int(i) => Some(*i as f64),
+            Value::Float(f) => Some(*f),
+            _ => None,
+        }
+    }
+
+    /// Applies a unary operator. This and the three functions after it are
+    /// the language's operator semantics, stated once: the interpreter adds
+    /// a source location to the `Err` text, the static verifier takes any
+    /// `Err` as "not a constant". Integer arithmetic is checked everywhere,
+    /// so a result never depends on the build profile.
+    pub fn unary(&self, op: UnOp) -> Result<Value, String> {
+        match (op, self) {
+            (UnOp::Not, v) => Ok(Value::Bool(!v.truthy())),
+            (UnOp::Neg, Value::Int(i)) => int_result(i.checked_neg(), '-'),
+            (UnOp::Neg, Value::Float(f)) => Ok(Value::Float(-f)),
+            (UnOp::Neg, other) => Err(format!("cannot negate a {}", other.type_name())),
+        }
+    }
+
+    /// Applies a binary operator to two evaluated operands. `and`/`or`
+    /// yield the operand Python would; leaving the right one *unevaluated*
+    /// when the left decides is the caller's business.
+    pub fn binary(&self, op: BinOp, rhs: &Value) -> Result<Value, String> {
+        let (l, r) = (self, rhs);
+        let types = |what: &str, joiner: &str| {
+            format!("{what} {} {joiner} {}", l.type_name(), r.type_name())
+        };
+        match op {
+            BinOp::And => Ok(if l.truthy() { r } else { l }.clone()),
+            BinOp::Or => Ok(if l.truthy() { l } else { r }.clone()),
+            BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => match (l, r) {
+                (Value::Int(a), Value::Int(b)) if op != BinOp::Div => match op {
+                    BinOp::Add => int_result(a.checked_add(*b), '+'),
+                    BinOp::Sub => int_result(a.checked_sub(*b), '-'),
+                    BinOp::Mul => int_result(a.checked_mul(*b), '*'),
+                    _ if *b == 0 => Err("modulo by zero".into()),
+                    _ => int_result(a.checked_rem_euclid(*b), '%'),
+                },
+                (Value::Str(a), Value::Str(b)) if op == BinOp::Add => {
+                    Ok(Value::str(format!("{a}{b}")))
+                }
+                (Value::List(a), Value::List(b)) if op == BinOp::Add => {
+                    Ok(Value::list(a.iter().chain(b.iter()).cloned().collect()))
+                }
+                _ => match (l.num(), r.num(), op) {
+                    (Some(a), Some(b), BinOp::Add) => Ok(Value::Float(a + b)),
+                    (Some(a), Some(b), BinOp::Sub) => Ok(Value::Float(a - b)),
+                    (Some(a), Some(b), BinOp::Mul) => Ok(Value::Float(a * b)),
+                    (Some(_), Some(0.0), BinOp::Div) => Err("division by zero".into()),
+                    (Some(a), Some(b), BinOp::Div) => Ok(Value::Float(a / b)),
+                    (Some(_), Some(0.0), _) => Err("modulo by zero".into()),
+                    (Some(a), Some(b), _) => Ok(Value::Float(a.rem_euclid(b))),
+                    (_, _, BinOp::Add) => Err(types("cannot add", "and")),
+                    _ => Err(types("numeric operator on", "and")),
+                },
+            },
+            BinOp::Eq => Ok(Value::Bool(l == r)),
+            BinOp::Ne => Ok(Value::Bool(l != r)),
+            BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
+                let ord = match (l, r) {
+                    (Value::Str(a), Value::Str(b)) => a.cmp(b),
+                    _ => match (l.num(), r.num()) {
+                        (Some(a), Some(b)) => a.partial_cmp(&b).ok_or("cannot order NaN")?,
+                        _ => return Err(types("cannot order", "and")),
+                    },
+                };
+                Ok(Value::Bool(match op {
+                    BinOp::Lt => ord.is_lt(),
+                    BinOp::Le => ord.is_le(),
+                    BinOp::Gt => ord.is_gt(),
+                    _ => ord.is_ge(),
+                }))
+            }
+            BinOp::In => match (l, r) {
+                (v, Value::List(items)) => Ok(Value::Bool(items.contains(v))),
+                (Value::Str(k), Value::Dict(d)) => Ok(Value::Bool(d.contains_key(&**k))),
+                (Value::Str(needle), Value::Str(hay)) => Ok(Value::Bool(hay.contains(&**needle))),
+                _ => Err(types("cannot test", "in")),
+            },
+        }
+    }
+
+    /// `self[idx]`: a list element (negative indices count from the end)
+    /// or a dict entry.
+    pub fn index(&self, idx: &Value) -> Result<Value, String> {
+        match (self, idx) {
+            (Value::List(l), Value::Int(n)) => {
+                let len = l.len() as i64;
+                let k = if *n < 0 { n + len } else { *n };
+                usize::try_from(k)
+                    .ok()
+                    .and_then(|k| l.get(k))
+                    .cloned()
+                    .ok_or_else(|| format!("list index {n} out of range (len {len})"))
+            }
+            (Value::Dict(d), Value::Str(k)) => d
+                .get(&**k)
+                .cloned()
+                .ok_or_else(|| format!("missing dict key: {k}")),
+            _ => Err(format!(
+                "cannot index {} with {}",
+                self.type_name(),
+                idx.type_name()
+            )),
+        }
+    }
+
+    /// `self.name`: a struct field, or an enum variant's `name`/`value`.
+    pub fn attr(&self, name: &str) -> Result<Value, String> {
+        match self {
+            Value::Struct(s) => s
+                .get(name)
+                .cloned()
+                .ok_or_else(|| format!("struct {} has no field {name}", s.type_name)),
+            Value::Enum(e) if name == "name" => Ok(Value::str(&e.variant)),
+            Value::Enum(e) if name == "value" => Ok(Value::Int(e.number)),
+            other => Err(format!(
+                "cannot access attribute {name} on {}",
+                other.type_name()
+            )),
+        }
+    }
+
     /// Serializes the value to canonical JSON.
     ///
     /// Structs serialize as objects in schema field order; dicts in sorted
@@ -219,6 +346,13 @@ impl Value {
             other => other.write_json(out),
         }
     }
+}
+
+/// The outcome of a checked `i64` operation written `op` in source.
+pub(crate) fn int_result(checked: Option<i64>, op: impl fmt::Display) -> Result<Value, String> {
+    checked
+        .map(Value::Int)
+        .ok_or_else(|| format!("integer overflow in {op}"))
 }
 
 fn write_object_pretty(out: &mut String, depth: usize, entries: &[(&String, &Value)]) {

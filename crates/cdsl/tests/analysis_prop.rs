@@ -1,7 +1,7 @@
 //! Property tests for the static verifier (`cdsl::analysis`).
 //!
-//! Five hundred seeded random mutations of a small config corpus, checking
-//! the three properties the commit gate depends on:
+//! First, five hundred seeded random mutations of a small config corpus,
+//! checking the three properties the commit gate depends on:
 //!
 //! 1. **Never panics** — whatever the mutation does to the source (parse
 //!    errors, unbound names, truncated lines), `Verifier::verify` returns
@@ -17,10 +17,18 @@
 //! are the *specification* the verifier checks against — a mutated-partial
 //! validator is a true positive by design (the `repro verify` experiment
 //! covers those), so mutating them here would make property 2 vacuous.
+//!
+//! Then, a hundred thousand seeded random expressions over the values at
+//! which arithmetic breaks, checking that the verifier's constant
+//! evaluation and the interpreter are one language: see
+//! `constant_evaluation_agrees_with_the_interpreter`.
 
 use std::collections::BTreeMap;
 
+use cdsl::analysis::const_eval;
 use cdsl::compile::Compiler;
+use cdsl::interp::eval_expression;
+use cdsl::parser::parse_expr;
 use cdsl::{Severity, Verifier};
 
 /// Deterministic xorshift64* — the tests must replay identically forever.
@@ -245,4 +253,93 @@ fn five_hundred_seeded_mutations_no_panic_no_false_positive_deterministic() {
         rejected_trees >= 50,
         "only {rejected_trees} of 500 mutated trees failed to compile"
     );
+}
+
+/// A random expression, `depth` operators deep at most, over the atoms
+/// where the language's arithmetic and lookups break: the ends of `i64`,
+/// 2^62 (whose double overflows), a float next to overflow, zero, empty and
+/// non-empty strings, lists and dicts.
+fn random_expr(rng: &mut Rng, depth: usize) -> String {
+    let huge_float = format!("1{}.0", "0".repeat(308));
+    let atoms = [
+        "9223372036854775807",
+        "(-9223372036854775807 - 1)",
+        "4611686018427387904",
+        "0",
+        "-1",
+        "1",
+        "2",
+        "0.5",
+        huge_float.as_str(),
+        "\"\"",
+        "\"ab\"",
+        "\"a\"",
+        "[]",
+        "[1, 2]",
+        "[0.5, 9223372036854775807]",
+        "{}",
+        "{\"a\": 1}",
+        "true",
+        "false",
+        "null",
+    ];
+    if depth == 0 || rng.below(4) == 0 {
+        return atoms[rng.below(atoms.len())].to_string();
+    }
+    let sub = |rng: &mut Rng| random_expr(rng, depth - 1);
+    let binary = [
+        "+", "-", "*", "/", "%", "==", "!=", "<", "<=", ">", ">=", "and", "or", "in", "not in",
+    ];
+    let builtins = ["abs", "sum", "min", "max", "int", "float", "len", "range"];
+    match rng.below(10) {
+        0..=4 => {
+            let op = binary[rng.below(binary.len())];
+            format!("({} {op} {})", sub(rng), sub(rng))
+        }
+        5 => format!("(-{})", sub(rng)),
+        6 => format!("(not {})", sub(rng)),
+        7 => format!("{}[{}]", sub(rng), sub(rng)),
+        8 => format!("({} if {} else {})", sub(rng), sub(rng), sub(rng)),
+        _ => {
+            let f = builtins[rng.below(builtins.len())];
+            if rng.below(2) == 0 {
+                format!("{f}({})", sub(rng))
+            } else {
+                format!("{f}({}, {})", sub(rng), sub(rng))
+            }
+        }
+    }
+}
+
+#[test]
+fn constant_evaluation_agrees_with_the_interpreter() {
+    let mut rng = Rng(0xC0FF_EE00_5EED);
+    let (mut folded, mut errors) = (0usize, 0usize);
+    for round in 0..100_000 {
+        let src = random_expr(&mut rng, 3);
+        let expr = parse_expr(&src, "<prop>").unwrap_or_else(|e| panic!("round {round}: {e}"));
+        // The interpreter must come back, whatever the arithmetic does —
+        // under `cargo test --release` as under `cargo test`.
+        let interpreted = eval_expression(&src);
+        match (const_eval(&expr), &interpreted) {
+            (None, Ok(_)) => {}
+            (None, Err(_)) => errors += 1,
+            (Some(constant), Ok(value)) => {
+                folded += 1;
+                // `==` lets 2 equal 2.0 and NaN differ from itself; the
+                // artifact is what has to be the same.
+                assert_eq!(
+                    (constant.type_name(), constant.to_json()),
+                    (value.type_name(), value.to_json()),
+                    "round {round}: the verifier and the interpreter disagree on {src}"
+                );
+            }
+            (Some(constant), Err(e)) => panic!(
+                "round {round}: the verifier folds {src} to {constant}, the interpreter says {e}"
+            ),
+        }
+    }
+    // Both sides of each property must actually occur.
+    assert!(folded >= 10_000, "only {folded} expressions folded");
+    assert!(errors >= 10_000, "only {errors} expressions failed");
 }

@@ -243,3 +243,35 @@ fn cross_repository_style_deep_imports() {
     assert!(json.contains("feed_weight"));
     assert!(json.contains("tao_replicas"));
 }
+
+#[test]
+fn the_builtin_list_and_the_builtin_dispatch_agree() {
+    // `interp::BUILTINS` (what a name may resolve to) and the arms of the
+    // interpreter's dispatch are two hand-kept lists.
+    use cdsl::interp::{eval_expression, BUILTINS};
+    use cdsl::Value;
+    for name in BUILTINS {
+        // A listed name evaluates to the builtin of that name and no other…
+        let value = eval_expression(name).unwrap();
+        assert!(
+            matches!(value, Value::Builtin(n) if BUILTINS.contains(&n) && n == *name),
+            "{name} evaluates to {value}"
+        );
+        // …which dispatches: whatever it makes of no arguments, it is not
+        // news to the interpreter.
+        if let Err(e) = eval_expression(&format!("{name}()")) {
+            assert!(!e.message().contains("unknown builtin"), "{name}(): {e}");
+        }
+    }
+    // A name off the list is not a builtin, even if it sounds like one.
+    assert!(eval_expression("length").is_err());
+}
+
+#[test]
+fn negative_zero_divides_like_zero() {
+    use cdsl::interp::eval_expression;
+    for expr in ["1 / -0.0", "1 % -0.0", "1.5 / (0 * -1.0)"] {
+        let e = eval_expression(expr).unwrap_err();
+        assert!(e.message().ends_with("by zero"), "{expr}: {e}");
+    }
+}

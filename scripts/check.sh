@@ -161,6 +161,19 @@ golden verify_check.txt verify --check 2> /tmp/verify_gates.txt
 cat /tmp/verify_gates.txt
 expect /tmp/verify_gates.txt "verify catch-rate gate: PASS" "verify catch-rate floor not met"
 
+# The goldens above ran the release profile, the one that ships; `cargo
+# test` ran only the debug one. The two differ exactly where a config
+# language gets hurt — unchecked integer arithmetic panics in one and wraps
+# in the other, native frames are several times larger in one — so the
+# crates that interpret what authors type run their tests (the hostile-input
+# table, the nesting bounds, the interpreter-vs-verifier property among
+# them) under the shipping profile too. The release build exists by now;
+# this builds only the test harnesses.
+if [ "$bless" = 0 ]; then
+    gate "release-profile semantics (cdsl, configerator, sitevars)"
+    cargo test --release -q -p cdsl -p configerator -p sitevars
+fi
+
 gate "simnet perf benchmark gate (profiler + BENCH_simnet.json)"
 # `repro perf` replays a workload-calibrated mixed scenario at three fleet
 # sizes with the self-profiler on. The live run writes BENCH_simnet.json,
