@@ -83,7 +83,17 @@ pub fn mix64(mut x: u64) -> u64 {
 
 /// Hashes a string to 64 bits (FNV-1a), for salting by project name.
 pub fn hash_str(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
+    fnv1a(FNV_OFFSET, s)
+}
+
+/// [`hash_str`] of the concatenation of `parts`, without building it.
+pub(crate) fn hash_strs(parts: &[&str]) -> u64 {
+    parts.iter().fold(FNV_OFFSET, |h, p| fnv1a(h, p))
+}
+
+const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+
+fn fnv1a(mut h: u64, s: &str) -> u64 {
     for b in s.as_bytes() {
         h ^= *b as u64;
         h = h.wrapping_mul(0x100000001b3);
@@ -96,7 +106,12 @@ pub fn hash_str(s: &str) -> u64 {
 /// makes a staged rollout (1% → 10% → 100%) monotone: every user passing
 /// at 1% still passes at 10%.
 pub fn user_sample(project: &str, user_id: u64) -> f64 {
-    let h = mix64(hash_str(project) ^ mix64(user_id));
+    salted_sample(hash_str(project), user_id)
+}
+
+/// [`user_sample`] with the salt already hashed.
+pub(crate) fn salted_sample(salt: u64, user_id: u64) -> f64 {
+    let h = mix64(salt ^ mix64(user_id));
     // Use the top 53 bits for a uniform double in [0, 1).
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
@@ -119,6 +134,12 @@ mod tests {
         let below_10pct = (0..n).filter(|&u| user_sample("proj", u) < 0.1).count();
         let frac = below_10pct as f64 / n as f64;
         assert!((frac - 0.1).abs() < 0.01, "frac = {frac}");
+    }
+
+    #[test]
+    fn hash_strs_hashes_the_concatenation() {
+        assert_eq!(hash_strs(&["exp:", "echo"]), hash_str("exp:echo"));
+        assert_eq!(hash_strs(&[]), hash_str(""));
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-use crate::context::user_sample;
+use crate::context::{hash_strs, salted_sample};
 
 /// A typed experiment parameter value.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -87,7 +87,7 @@ impl Experiment {
     /// Assignment is deterministic and stable for the experiment's
     /// lifetime.
     pub fn assign(&self, user_id: u64) -> Option<usize> {
-        let s = user_sample(&format!("exp:{}", self.name), user_id);
+        let s = salted_sample(hash_strs(&["exp:", &self.name]), user_id);
         let mut acc = 0.0;
         for (i, g) in self.groups.iter().enumerate() {
             acc += g.fraction;

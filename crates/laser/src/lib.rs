@@ -63,6 +63,10 @@ pub struct LaserStats {
 struct Dataset {
     generation: u64,
     entries: HashMap<String, f64>,
+    /// This dataset's share of the bounded memory tier: key →
+    /// (generation, value). Kept beside the entries so one dataset lookup
+    /// serves both tiers and a read looks up by borrowed `&str`s.
+    memory: HashMap<String, (u64, f64)>,
 }
 
 /// The Laser store.
@@ -80,10 +84,10 @@ struct Dataset {
 #[derive(Debug, Clone)]
 pub struct Laser {
     datasets: HashMap<String, Dataset>,
-    /// Bounded memory tier: (dataset, key) → (generation, value).
-    memory: HashMap<(String, String), (u64, f64)>,
+    /// Capacity of the memory tier, summed over every dataset's share.
     memory_cap: usize,
-    /// Insertion order for FIFO eviction of the memory tier.
+    /// Insertion order for FIFO eviction of the memory tier: one
+    /// (dataset, key) per resident entry, so its length is the tier's size.
     memory_order: VecDeque<(String, String)>,
     stats: LaserStats,
 }
@@ -93,7 +97,6 @@ impl Laser {
     pub fn new(memory_cap: usize) -> Laser {
         Laser {
             datasets: HashMap::new(),
-            memory: HashMap::new(),
             memory_cap,
             memory_order: VecDeque::new(),
             stats: LaserStats::default(),
@@ -125,8 +128,7 @@ impl Laser {
     pub fn get(&mut self, dataset: &str, key: &str) -> Option<f64> {
         let d = self.datasets.get(dataset)?;
         let generation = d.generation;
-        let cache_key = (dataset.to_string(), key.to_string());
-        if let Some(&(gen_cached, v)) = self.memory.get(&cache_key) {
+        if let Some(&(gen_cached, v)) = d.memory.get(key) {
             if gen_cached == generation {
                 self.stats.memory_hits += 1;
                 self.stats.cost_units += cost::MEMORY_HIT;
@@ -137,7 +139,7 @@ impl Laser {
             Some(v) => {
                 self.stats.flash_reads += 1;
                 self.stats.cost_units += cost::FLASH_READ;
-                self.memory_insert(cache_key, generation, v);
+                self.memory_insert(dataset, key, generation, v);
                 Some(v)
             }
             None => {
@@ -151,7 +153,7 @@ impl Laser {
     /// Convenience for the Gatekeeper restraint: `get` on the conventional
     /// `"$project-$user_id"` key (§4).
     pub fn get_project_user(&mut self, dataset: &str, project: &str, user_id: u64) -> Option<f64> {
-        self.get(dataset, &format!("{project}-{user_id}"))
+        with_project_user_key(project, user_id, |key| self.get(dataset, key))
     }
 
     /// Reads `key` from `dataset` without touching the memory tier or the
@@ -163,7 +165,7 @@ impl Laser {
 
     /// Number of entries currently resident in the memory tier.
     pub fn memory_len(&self) -> usize {
-        self.memory.len()
+        self.memory_order.len()
     }
 
     /// Number of keys in `dataset`.
@@ -187,21 +189,31 @@ impl Laser {
         self.stats
     }
 
-    fn memory_insert(&mut self, key: (String, String), generation: u64, v: f64) {
+    fn memory_insert(&mut self, dataset: &str, key: &str, generation: u64, v: f64) {
         if self.memory_cap == 0 {
             return;
         }
-        if !self.memory.contains_key(&key) {
-            if self.memory.len() >= self.memory_cap {
-                // FIFO eviction keeps the implementation simple and
-                // deterministic; hit-rate subtleties are not the point here.
-                if let Some(evict) = self.memory_order.pop_front() {
-                    self.memory.remove(&evict);
+        let Some(d) = self.datasets.get_mut(dataset) else {
+            return;
+        };
+        if let Some(slot) = d.memory.get_mut(key) {
+            *slot = (generation, v);
+            return;
+        }
+        d.memory.insert(key.to_string(), (generation, v));
+        self.memory_order
+            .push_back((dataset.to_string(), key.to_string()));
+        if self.memory_order.len() > self.memory_cap {
+            // FIFO eviction keeps the implementation simple and
+            // deterministic; hit-rate subtleties are not the point here.
+            // The oldest entry is never the one just inserted: the cap is
+            // at least 1, so the order holds at least two.
+            if let Some((d, k)) = self.memory_order.pop_front() {
+                if let Some(evicted) = self.datasets.get_mut(&d) {
+                    evicted.memory.remove(&k);
                 }
             }
-            self.memory_order.push_back(key.clone());
         }
-        self.memory.insert(key, (generation, v));
     }
 }
 
@@ -217,8 +229,24 @@ pub trait LaserBackend {
 
     /// Reads the conventional `"$project-$user_id"` key (§4).
     fn get_project_user(&mut self, dataset: &str, project: &str, user_id: u64) -> Option<f64> {
-        self.get(dataset, &format!("{project}-{user_id}"))
+        with_project_user_key(project, user_id, |key| self.get(dataset, key))
     }
+}
+
+/// Calls `f` with the conventional `"$project-$user_id"` key (§4), built on
+/// the stack: a `laser()` restraint reads once per check, so the key must
+/// not cost a heap allocation. Project names longer than the buffer fall
+/// back to a heap key.
+fn with_project_user_key<R>(project: &str, user_id: u64, f: impl FnOnce(&str) -> R) -> R {
+    use std::io::Write;
+    const CAP: usize = 128;
+    let mut buf = [0u8; CAP];
+    let mut rest = &mut buf[..];
+    if write!(rest, "{project}-{user_id}").is_err() {
+        return f(&format!("{project}-{user_id}"));
+    }
+    let len = CAP - rest.len();
+    f(std::str::from_utf8(&buf[..len]).expect("formatted from a str and an integer"))
 }
 
 impl LaserBackend for Laser {
@@ -238,7 +266,9 @@ impl LaserBackend for Laser {
 /// [`ResolvedBackend::unresolved`]).
 #[derive(Debug, Clone, Default)]
 pub struct ResolvedBackend {
-    values: HashMap<(String, String), Option<f64>>,
+    /// dataset → key → deposited value, nested like [`Laser`]'s tiers so a
+    /// read looks up by borrowed `&str`s.
+    values: HashMap<String, HashMap<String, Option<f64>>>,
     /// Reads for keys nobody deposited (a routing bug or a failed query
     /// with no stale cover).
     pub unresolved: u64,
@@ -253,7 +283,9 @@ impl ResolvedBackend {
     /// Deposits the resolved value for `(dataset, key)`.
     pub fn set(&mut self, dataset: &str, key: &str, value: Option<f64>) {
         self.values
-            .insert((dataset.to_string(), key.to_string()), value);
+            .entry(dataset.to_string())
+            .or_default()
+            .insert(key.to_string(), value);
     }
 
     /// Clears all deposited values (between checks).
@@ -264,7 +296,7 @@ impl ResolvedBackend {
 
 impl LaserBackend for ResolvedBackend {
     fn get(&mut self, dataset: &str, key: &str) -> Option<f64> {
-        match self.values.get(&(dataset.to_string(), key.to_string())) {
+        match self.values.get(dataset).and_then(|keys| keys.get(key)) {
             Some(v) => *v,
             None => {
                 self.unresolved += 1;
@@ -347,6 +379,20 @@ mod tests {
     }
 
     #[test]
+    fn project_user_key_of_any_length() {
+        // 126 + 1 + 1 bytes fill the stack buffer exactly; one more byte
+        // takes the heap fallback.
+        let fits = "F".repeat(126);
+        let spills = "S".repeat(127);
+        for (project, user) in [("P", 0), ("P", u64::MAX), (&fits[..], 5), (&spills[..], 5)] {
+            assert_eq!(
+                with_project_user_key(project, user, str::to_string),
+                format!("{project}-{user}")
+            );
+        }
+    }
+
+    #[test]
     fn zero_capacity_memory_tier() {
         let mut l = Laser::new(0);
         l.load_dataset("d", vec![("a".into(), 1.0)]);
@@ -406,6 +452,22 @@ mod tests {
         assert_eq!(s.memory_hits, 2);
         assert_eq!(s.misses, 0);
         assert_eq!(s.cost_units, 4 * cost::FLASH_READ + 2 * cost::MEMORY_HIT);
+    }
+
+    #[test]
+    fn fifo_eviction_spans_datasets() {
+        let mut l = Laser::new(2);
+        l.load_dataset("d1", vec![("a".into(), 1.0), ("c".into(), 3.0)]);
+        l.load_dataset("d2", vec![("b".into(), 2.0)]);
+        l.get("d1", "a");
+        l.get("d2", "b");
+        l.get("d1", "c"); // evicts d1's "a", the oldest across both
+        assert_eq!(l.memory_len(), 2);
+        l.get("d2", "b");
+        l.get("d1", "c");
+        assert_eq!(l.stats().memory_hits, 2);
+        l.get("d1", "a");
+        assert_eq!(l.stats().flash_reads, 4, "evicted key re-reads flash");
     }
 
     #[test]

@@ -27,6 +27,8 @@ pub struct PollOutcome {
 pub struct MobileConfigClient {
     user: UserContext,
     schema: MobileSchema,
+    /// `schema.hash()`, sent with every poll.
+    schema_hash: u64,
     /// The flash cache: field → value.
     cache: BTreeMap<String, ParamValue>,
     values_hash: u64,
@@ -40,6 +42,7 @@ impl MobileConfigClient {
     pub fn new(user: UserContext, schema: MobileSchema) -> MobileConfigClient {
         MobileConfigClient {
             user,
+            schema_hash: schema.hash(),
             schema,
             cache: BTreeMap::new(),
             values_hash: 0,
@@ -51,10 +54,10 @@ impl MobileConfigClient {
     pub fn poll(&mut self, server: &mut MobileConfigServer) -> PollOutcome {
         self.polls += 1;
         let req = PullRequest {
-            config: self.schema.config.clone(),
-            schema_hash: self.schema.hash(),
+            config: &self.schema.config,
+            schema_hash: self.schema_hash,
             values_hash: self.values_hash,
-            user: self.user.clone(),
+            user: &self.user,
         };
         let req_bytes = req.wire_size();
         let reply = server.pull(&req);

@@ -172,6 +172,13 @@ expect /tmp/verify_gates.txt "verify catch-rate gate: PASS" "verify catch-rate f
 if [ "$bless" = 0 ]; then
     gate "release-profile semantics (cdsl, configerator, sitevars)"
     cargo test --release -q -p cdsl -p configerator -p sitevars
+
+    gate "benchmark smoke (five workloads)"
+    # The benchmark (BENCHMARK.json) is a package of its own, outside the
+    # workspace, so nothing above compiles it: a crate API change that
+    # breaks it would pass every other gate. Its tests run each workload at
+    # --smoke size with every output check on.
+    cargo test --release -q --offline --manifest-path benchmark/Cargo.toml
 fi
 
 gate "simnet perf benchmark gate (profiler + BENCH_simnet.json)"
