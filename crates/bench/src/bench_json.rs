@@ -1,12 +1,7 @@
-//! The single writer for `BENCH_simnet.json`.
-//!
-//! Two experiments feed the perf trajectory file: `repro perf` (the
-//! three-size profiler benchmark, `"runs"`) and `repro fleet` (the
-//! paper-scale diurnal replay, `"fleet_runs"`). Each regenerates only its
-//! own section; this module re-renders the whole document so one run never
-//! clobbers the other's rows. Rendering is deterministic (fixed field
-//! order, fixed float precision), so round-tripping a section through
-//! [`load`] and [`render`] is byte-stable.
+//! The writer for `BENCH_simnet.json`: the wall-clock trajectory of the
+//! paper-scale fleet replay (`repro fleet`), one row per fleet size.
+//! Rendering is deterministic (fixed field order, fixed float precision),
+//! and [`validate`] parses the document back against the schema.
 
 use std::fmt::Write as _;
 
@@ -15,28 +10,7 @@ use serde_json::Value;
 /// Where the trajectory file lives (repo root; `repro` runs from there).
 pub const PATH: &str = "BENCH_simnet.json";
 
-/// One `"runs"` row: a profiler benchmark fleet.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PerfRow {
-    /// Fleet label (`small` / `medium` / `large`).
-    pub fleet: String,
-    /// Node count.
-    pub nodes: u64,
-    /// Events processed (virtual; deterministic).
-    pub events: u64,
-    /// Wall-clock throughput (machine-dependent).
-    pub events_per_sec: f64,
-    /// Wall-clock run time in milliseconds (machine-dependent).
-    pub wall_ms: f64,
-    /// Peak event-queue depth (virtual; deterministic).
-    pub peak_queue_depth: u64,
-    /// Mean event-queue depth (virtual; deterministic).
-    pub mean_queue_depth: f64,
-    /// Per-subsystem handler wall-time shares, descending.
-    pub subsystem_wall_shares: Vec<(String, f64)>,
-}
-
-/// One `"fleet_runs"` row: a paper-scale diurnal replay.
+/// One `"runs"` row: a paper-scale diurnal replay.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetRow {
     /// Fleet label (`1k` / `5k` / `20k` / `50k` / `100k`).
@@ -62,213 +36,102 @@ pub struct FleetRow {
     /// (deterministic): p50, p90, p99, p999, max — rank-interpolated from
     /// the raw sample series, not bucketed.
     pub propagation_ms: [f64; 5],
+    /// Per-subsystem (actor kind) share of handler wall time, descending
+    /// (machine-dependent).
+    pub subsystem_wall_shares: Vec<(String, f64)>,
 }
 
 fn fmt_f(x: f64, prec: usize) -> String {
     format!("{x:.prec$}")
 }
 
-/// Renders the whole document. `runs` may be empty only while the perf
-/// benchmark has never run; `fleet_runs` is omitted entirely when empty so
-/// pre-fleet consumers see the original shape.
-pub fn render(runs: &[PerfRow], fleet_runs: &[FleetRow]) -> String {
+/// Renders the whole document.
+pub fn render(runs: &[FleetRow]) -> String {
     let mut out = String::from("{\n  \"benchmark\": \"simnet_events_per_sec\",\n  \"runs\": [\n");
     for (i, r) in runs.iter().enumerate() {
         let shares: Vec<String> = r
             .subsystem_wall_shares
             .iter()
-            .map(|(k, s)| format!("      \"{k}\": {}", fmt_f(*s, 4)))
+            .map(|(k, s)| format!("        \"{k}\": {}", fmt_f(*s, 4)))
             .collect();
         let _ = write!(
             out,
-            "    {{\n      \"fleet\": \"{}\",\n      \"nodes\": {},\n      \"events\": {},\n      \"events_per_sec\": {},\n      \"wall_ms\": {},\n      \"peak_queue_depth\": {},\n      \"mean_queue_depth\": {},\n      \"subsystem_wall_shares\": {{\n{}\n      }}\n    }}",
+            "    {{\n      \"fleet\": \"{}\",\n      \"nodes\": {},\n      \"events\": {},\n      \"events_per_sec\": {},\n      \"wall_ms\": {},\n      \"writes\": {},\n      \"proxy_updates\": {},\n      \"samples\": {},\n      \"propagation_ms\": {{\n        \"p50\": {},\n        \"p90\": {},\n        \"p99\": {},\n        \"p999\": {},\n        \"max\": {}\n      }},\n      \"subsystem_wall_shares\": {{\n{}\n      }}\n    }}",
             r.fleet,
             r.nodes,
             r.events,
             fmt_f(r.events_per_sec, 1),
             fmt_f(r.wall_ms, 2),
-            r.peak_queue_depth,
-            fmt_f(r.mean_queue_depth, 2),
-            shares.join(",\n")
+            r.writes,
+            r.proxy_updates,
+            r.samples,
+            fmt_f(r.propagation_ms[0], 3),
+            fmt_f(r.propagation_ms[1], 3),
+            fmt_f(r.propagation_ms[2], 3),
+            fmt_f(r.propagation_ms[3], 3),
+            fmt_f(r.propagation_ms[4], 3),
+            shares.join(",\n"),
         );
         out.push_str(if i + 1 < runs.len() { ",\n" } else { "\n" });
     }
-    out.push_str("  ]");
-    if !fleet_runs.is_empty() {
-        out.push_str(",\n  \"fleet_runs\": [\n");
-        for (i, r) in fleet_runs.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\n      \"fleet\": \"{}\",\n      \"nodes\": {},\n      \"events\": {},\n      \"events_per_sec\": {},\n      \"wall_ms\": {},\n      \"writes\": {},\n      \"proxy_updates\": {},\n      \"samples\": {},\n      \"propagation_ms\": {{\n        \"p50\": {},\n        \"p90\": {},\n        \"p99\": {},\n        \"p999\": {},\n        \"max\": {}\n      }}\n    }}",
-                r.fleet,
-                r.nodes,
-                r.events,
-                fmt_f(r.events_per_sec, 1),
-                fmt_f(r.wall_ms, 2),
-                r.writes,
-                r.proxy_updates,
-                r.samples,
-                fmt_f(r.propagation_ms[0], 3),
-                fmt_f(r.propagation_ms[1], 3),
-                fmt_f(r.propagation_ms[2], 3),
-                fmt_f(r.propagation_ms[3], 3),
-                fmt_f(r.propagation_ms[4], 3),
-            );
-            out.push_str(if i + 1 < fleet_runs.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ]");
-    }
-    out.push_str("\n}\n");
+    out.push_str("  ]\n}\n");
     out
 }
 
-fn get_u64(run: &serde_json::Value, field: &str) -> Option<u64> {
-    run.as_object()?.get(field)?.as_f64().map(|x| x as u64)
-}
-
-fn get_f64(run: &serde_json::Value, field: &str) -> Option<f64> {
-    run.as_object()?.get(field)?.as_f64()
-}
-
-fn parse_perf_row(run: &Value) -> Option<PerfRow> {
-    let obj = run.as_object()?;
-    let mut shares: Vec<(String, f64)> = obj
-        .get("subsystem_wall_shares")?
-        .as_object()?
-        .iter()
-        .map(|(k, v)| (k.clone(), v.as_f64().unwrap_or(0.0)))
-        .collect();
-    // The renderer keeps shares descending; the parsed object is
-    // key-sorted, so restore the descending-by-share order (name
-    // tie-break) the original writer used.
-    shares.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-    Some(PerfRow {
-        fleet: obj.get("fleet")?.as_str()?.to_string(),
-        nodes: get_u64(run, "nodes")?,
-        events: get_u64(run, "events")?,
-        events_per_sec: get_f64(run, "events_per_sec")?,
-        wall_ms: get_f64(run, "wall_ms")?,
-        peak_queue_depth: get_u64(run, "peak_queue_depth")?,
-        mean_queue_depth: get_f64(run, "mean_queue_depth")?,
-        subsystem_wall_shares: shares,
-    })
-}
-
-fn parse_fleet_row(run: &Value) -> Option<FleetRow> {
-    let obj = run.as_object()?;
-    let p = obj.get("propagation_ms")?.as_object()?;
-    let q = |k: &str| p.get(k).and_then(Value::as_f64);
-    Some(FleetRow {
-        fleet: obj.get("fleet")?.as_str()?.to_string(),
-        nodes: get_u64(run, "nodes")?,
-        events: get_u64(run, "events")?,
-        wall_ms: get_f64(run, "wall_ms")?,
-        events_per_sec: get_f64(run, "events_per_sec")?,
-        writes: get_u64(run, "writes")?,
-        proxy_updates: get_u64(run, "proxy_updates")?,
-        samples: get_u64(run, "samples")?,
-        propagation_ms: [q("p50")?, q("p90")?, q("p99")?, q("p999")?, q("max")?],
-    })
-}
-
-/// Parses an existing trajectory file leniently: a missing file, parse
-/// failure, or malformed section yields empty rows for that section (the
-/// next write simply regenerates it).
-pub fn load(path: &str) -> (Vec<PerfRow>, Vec<FleetRow>) {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return (Vec::new(), Vec::new());
-    };
-    let Ok(v) = serde_json::from_str::<Value>(&text) else {
-        return (Vec::new(), Vec::new());
-    };
-    let rows = |key: &str| -> Vec<Value> {
-        v.as_object()
-            .and_then(|o| o.get(key))
-            .and_then(Value::as_array)
-            .cloned()
-            .unwrap_or_default()
-    };
-    let perf: Option<Vec<PerfRow>> = rows("runs").iter().map(parse_perf_row).collect();
-    let fleet: Option<Vec<FleetRow>> = rows("fleet_runs").iter().map(parse_fleet_row).collect();
-    (perf.unwrap_or_default(), fleet.unwrap_or_default())
-}
-
-/// Rewrites the `"runs"` section, preserving any `"fleet_runs"` rows.
-pub fn write_perf(path: &str, runs: &[PerfRow]) -> std::io::Result<()> {
-    let (_, fleet) = load(path);
-    std::fs::write(path, render(runs, &fleet))
-}
-
-/// Rewrites the `"fleet_runs"` section, preserving any `"runs"` rows.
-pub fn write_fleet(path: &str, fleet_runs: &[FleetRow]) -> std::io::Result<()> {
-    let (perf, _) = load(path);
-    std::fs::write(path, render(&perf, fleet_runs))
-}
-
 /// Validates the document against the trajectory schema by parsing it
-/// back: top-level `benchmark` + `runs` (>= 3 fleets with the required
-/// numeric fields and a nonempty shares map), and — when present —
-/// `fleet_runs` rows with the required numeric fields and the five
-/// propagation quantiles. Returns an error string on the first violation.
+/// back: top-level `benchmark` + a nonempty `runs` array whose rows carry
+/// the fleet label, finite non-negative numeric fields, the five
+/// propagation quantiles and a nonempty shares map. Returns an error
+/// string on the first violation.
 pub fn validate(text: &str) -> Result<(), String> {
     let v: Value = serde_json::from_str(text).map_err(|e| format!("unparseable: {e:?}"))?;
     let obj = v.as_object().ok_or("top level is not an object")?;
-    match obj.get("benchmark").and_then(|b| b.as_str()) {
+    match obj.get("benchmark").and_then(Value::as_str) {
         Some("simnet_events_per_sec") => {}
         _ => return Err("benchmark name missing or wrong".into()),
     }
     let runs = obj
         .get("runs")
-        .and_then(|r| r.as_array())
+        .and_then(Value::as_array)
         .ok_or("runs is not an array")?;
-    if runs.len() < 3 {
-        return Err(format!("need >= 3 fleet sizes, got {}", runs.len()));
+    if runs.is_empty() {
+        return Err("runs is empty".into());
     }
     for (i, run) in runs.iter().enumerate() {
         let ro = run.as_object().ok_or(format!("run {i} not an object"))?;
         ro.get("fleet")
-            .and_then(|f| f.as_str())
+            .and_then(Value::as_str)
             .ok_or(format!("run {i} missing fleet"))?;
-        for field in [
+        let quantiles = ro
+            .get("propagation_ms")
+            .and_then(Value::as_object)
+            .ok_or(format!("run {i} missing propagation_ms"))?;
+        let fields = [
             "nodes",
             "events",
             "events_per_sec",
             "wall_ms",
-            "peak_queue_depth",
-            "mean_queue_depth",
-        ] {
-            let x = get_f64(run, field).ok_or(format!("run {i} missing numeric {field}"))?;
-            if !x.is_finite() || x < 0.0 {
-                return Err(format!("run {i} field {field} not a finite non-negative"));
+            "writes",
+            "proxy_updates",
+            "samples",
+        ];
+        let numbers = fields.iter().map(|&f| (f, ro.get(f))).chain(
+            ["p50", "p90", "p99", "p999", "max"]
+                .iter()
+                .map(|&q| (q, quantiles.get(q))),
+        );
+        for (field, x) in numbers {
+            match x.and_then(Value::as_f64) {
+                Some(x) if x.is_finite() && x >= 0.0 => {}
+                _ => return Err(format!("run {i} field {field} not a finite non-negative")),
             }
         }
         let shares = ro
             .get("subsystem_wall_shares")
-            .and_then(|s| s.as_object())
+            .and_then(Value::as_object)
             .ok_or(format!("run {i} missing subsystem_wall_shares"))?;
         if shares.is_empty() {
             return Err(format!("run {i} has no subsystem shares"));
-        }
-    }
-    if let Some(fr) = obj.get("fleet_runs") {
-        let fleet_runs = fr.as_array().ok_or("fleet_runs is not an array")?;
-        if fleet_runs.is_empty() {
-            return Err("fleet_runs present but empty".into());
-        }
-        for (i, run) in fleet_runs.iter().enumerate() {
-            if parse_fleet_row(run).is_none() {
-                return Err(format!("fleet_run {i} missing required fields"));
-            }
-            for field in ["nodes", "events", "events_per_sec", "wall_ms"] {
-                let x = get_f64(run, field).ok_or(format!("fleet_run {i} missing {field}"))?;
-                if !x.is_finite() || x < 0.0 {
-                    return Err(format!("fleet_run {i} field {field} invalid"));
-                }
-            }
         }
     }
     Ok(())
@@ -277,19 +140,6 @@ pub fn validate(text: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn perf_row(name: &str) -> PerfRow {
-        PerfRow {
-            fleet: name.to_string(),
-            nodes: 32,
-            events: 1000,
-            events_per_sec: 123456.7,
-            wall_ms: 8.1,
-            peak_queue_depth: 40,
-            mean_queue_depth: 19.25,
-            subsystem_wall_shares: vec![("zeus.proxy".into(), 0.75), ("driver".into(), 0.25)],
-        }
-    }
 
     fn fleet_row(name: &str, nodes: u64) -> FleetRow {
         FleetRow {
@@ -302,51 +152,29 @@ mod tests {
             proxy_updates: 1184,
             samples: 1184,
             propagation_ms: [3.125, 44.0, 81.5, 95.25, 120.0],
+            subsystem_wall_shares: vec![("zeus.proxy".into(), 0.75), ("driver".into(), 0.25)],
         }
     }
 
     #[test]
-    fn sections_survive_each_other() {
-        let dir = std::env::temp_dir().join("bench_json_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_simnet.json");
-        let path = path.to_str().unwrap();
-        let perf: Vec<PerfRow> = ["small", "medium", "large"]
-            .iter()
-            .map(|n| perf_row(n))
-            .collect();
-        write_perf(path, &perf).unwrap();
-        let fleet = vec![fleet_row("1k", 1008), fleet_row("5k", 5040)];
-        write_fleet(path, &fleet).unwrap();
-        // Re-writing perf must keep the fleet rows, and vice versa.
-        write_perf(path, &perf).unwrap();
-        let (p2, f2) = load(path);
-        assert_eq!(p2, perf);
-        assert_eq!(f2, fleet);
-        let text = std::fs::read_to_string(path).unwrap();
+    fn rendered_rows_validate() {
+        let rows = vec![fleet_row("1k", 1008), fleet_row("100k", 100_000)];
+        let text = render(&rows);
         validate(&text).expect("schema-valid");
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn roundtrip_is_byte_stable() {
-        let perf: Vec<PerfRow> = ["a", "b", "c"].iter().map(|n| perf_row(n)).collect();
-        let fleet = vec![fleet_row("1k", 1008)];
-        let once = render(&perf, &fleet);
-        let dir = std::env::temp_dir().join("bench_json_roundtrip");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_simnet.json");
-        std::fs::write(&path, &once).unwrap();
-        let (p, f) = load(path.to_str().unwrap());
-        assert_eq!(render(&p, &f), once, "load→render must be byte-stable");
-        std::fs::remove_file(&path).ok();
+        let v: Value = serde_json::from_str(&text).unwrap();
+        let runs = v.as_object().unwrap()["runs"].as_array().unwrap();
+        assert_eq!(runs.len(), 2);
+        assert_eq!(runs[1].as_object().unwrap()["fleet"].as_str(), Some("100k"));
     }
 
     #[test]
     fn validate_rejects_malformed() {
         assert!(validate("{}").is_err());
         assert!(validate("{\"benchmark\": \"simnet_events_per_sec\", \"runs\": []}").is_err());
-        let perf: Vec<PerfRow> = ["a", "b", "c"].iter().map(|n| perf_row(n)).collect();
-        assert!(validate(&render(&perf, &[])).is_ok());
+        let mut row = fleet_row("1k", 1008);
+        row.subsystem_wall_shares.clear();
+        assert!(validate(&render(&[row])).is_err(), "empty shares");
+        let text = render(&[fleet_row("1k", 1008)]).replace("\"p999\"", "\"p99.9\"");
+        assert!(validate(&text).is_err(), "missing quantile");
     }
 }

@@ -27,17 +27,13 @@
 //!                            # pass; catch-rate table + repair-hint demo.
 //!                            # --check omits the per-commit log
 //!                            # (byte-deterministic, golden-gated)
-//! repro perf [--check]       # simnet self-profiler benchmark: events/sec
-//!                            # at three fleet sizes, hot-actor tables,
-//!                            # folded stacks; writes BENCH_simnet.json.
-//!                            # --check prints only virtual-time fields
-//!                            # (byte-deterministic, golden-gated)
 //! repro fleet [--check] [--mobile <clients>]
-//!                            # paper-scale diurnal replay: 1k–100k-node
-//!                            # propagation-delay tables; appends the
-//!                            # fleet_runs section of BENCH_simnet.json.
+//!                            # paper-scale diurnal replay, profiled:
+//!                            # 1k–100k-node propagation-delay tables and
+//!                            # wall splits; rewrites BENCH_simnet.json.
 //!                            # --check prints only virtual-time fields
-//!                            # for the 1k/5k/100k sizes
+//!                            # for the 1k/5k/100k sizes and the 1k
+//!                            # fleet's event-count profile
 //!                            # (byte-deterministic, golden-gated).
 //!                            # --mobile models that many MobileConfig
 //!                            # pull clients as per-cluster population
@@ -51,158 +47,99 @@
 //!
 //! `--full` uses the larger scale quoted in `EXPERIMENTS.md`; the default
 //! small scale finishes each experiment in seconds to a couple of minutes.
+//! `--seed` (default 1) reaches every experiment; those without randomness
+//! of their own ignore it. An unknown flag, a flag without its value, or a
+//! second positional argument is a usage error (exit 2), as is an unknown
+//! experiment.
 
-use bench::{run_experiment, Scale, EXPERIMENTS};
+use bench::{Scale, EXPERIMENTS};
+
+/// The parsed command line.
+#[derive(Default)]
+struct Args {
+    name: Option<String>,
+    full: bool,
+    check: bool,
+    chaos: bool,
+    seed: Option<u64>,
+    mobile: Option<u64>,
+}
+
+fn parse(args: &[String]) -> Result<Args, String> {
+    let mut a = Args::default();
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--full" => a.full = true,
+            "--check" => a.check = true,
+            "--chaos" => a.chaos = true,
+            // A typo'd value must not silently fall back to a default run:
+            // `--seed` exists to replay one scenario, `--mobile` to size
+            // one population.
+            "--seed" | "--mobile" => {
+                let n = it
+                    .next()
+                    .and_then(|v| v.parse::<u64>().ok())
+                    .ok_or(format!("{arg} requires an integer value"))?;
+                if arg == "--seed" {
+                    a.seed = Some(n);
+                } else {
+                    a.mobile = Some(n);
+                }
+            }
+            flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
+            name if a.name.is_none() => a.name = Some(name.to_string()),
+            extra => return Err(format!("unexpected argument {extra}")),
+        }
+    }
+    Ok(a)
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let full = args.iter().any(|a| a == "--full");
-    let seed: Option<u64> = match args.iter().position(|a| a == "--seed") {
-        None => None,
-        Some(i) => match args.get(i + 1).map(|v| v.parse::<u64>()) {
-            Some(Ok(n)) => Some(n),
-            // A typo'd seed must not silently fall back to the full
-            // campaign — the flag exists to replay one failing scenario.
-            _ => {
-                eprintln!("error: --seed requires an integer value");
-                std::process::exit(2);
-            }
-        },
-    };
-    let mut skip_next = false;
-    let names: Vec<&str> = args
-        .iter()
-        .filter(|a| {
-            if skip_next {
-                skip_next = false;
-                return false;
-            }
-            if *a == "--seed" {
-                skip_next = true;
-                return false;
-            }
-            !a.starts_with("--")
-        })
-        .map(String::as_str)
-        .collect();
-    let scale = if full { Scale::Full } else { Scale::Small };
-
-    if names.first().copied() == Some("chaos") {
-        if let Some(seed) = seed {
-            banner("chaos");
-            println!("{}", bench::chaos_exp::replay(seed));
-            return;
-        }
-    }
-
-    let chaos_flag = args.iter().any(|a| a == "--chaos");
-    match names.first().copied() {
-        Some("losssweep") => {
-            banner("losssweep");
-            println!("{}", bench::loss_exp::losssweep(seed.unwrap_or(1)));
-            return;
-        }
-        Some("laser") => {
-            banner("laser");
-            println!("{}", bench::laser_exp::laser(seed.unwrap_or(1)));
-            return;
-        }
-        Some("canary") => {
-            banner("canary");
-            println!("{}", bench::canary_exp::report(seed.unwrap_or(1)));
-            return;
-        }
-        Some("audit") => {
-            banner("audit");
-            println!("{}", bench::audit_exp::report(seed.unwrap_or(1)));
-            return;
-        }
-        Some("perf") => {
-            let check = args.iter().any(|a| a == "--check");
-            banner("perf");
-            println!("{}", bench::perf_exp::perf(check));
-            return;
-        }
-        Some("fleet") => {
-            let check = args.iter().any(|a| a == "--check");
-            let mobile: Option<u64> = match args.iter().position(|a| a == "--mobile") {
-                None => None,
-                Some(i) => match args.get(i + 1).map(|v| v.parse::<u64>()) {
-                    Some(Ok(n)) => Some(n),
-                    // A typo'd client count must not silently run the
-                    // ordinary fleet sweep instead.
-                    _ => {
-                        eprintln!("error: --mobile requires an integer value");
-                        std::process::exit(2);
-                    }
-                },
-            };
-            banner("fleet");
-            match mobile {
-                Some(clients) => println!("{}", bench::fleet_exp::fleet_mobile(clients)),
-                None => println!("{}", bench::fleet_exp::fleet(check)),
-            }
-            return;
-        }
-        Some("verify") => {
-            let check = args.iter().any(|a| a == "--check");
-            banner("verify");
-            println!("{}", bench::verify_exp::verify(check));
-            return;
-        }
-        Some("health") => {
-            banner("health");
-            println!("{}", bench::health_exp::report(seed.unwrap_or(1)));
-            return;
-        }
-        Some("storm") => {
-            banner("storm");
-            println!("{}", bench::storm_exp::report(seed.unwrap_or(1)));
-            return;
-        }
-        Some("trace") => {
-            banner("trace");
-            println!("{}", bench::trace_exp::trace(seed.unwrap_or(1), chaos_flag));
-            return;
-        }
-        Some("metrics") => {
-            // No banner: the output is a machine-diffable metrics snapshot
-            // (scripts/check.sh compares it byte-for-byte against goldens).
-            let seed = seed.unwrap_or(1);
-            if chaos_flag {
-                print!("{}", bench::chaos_exp::export_metrics(seed));
-            } else {
-                print!("{}", bench::trace_exp::metrics(seed, false));
-            }
-            return;
-        }
-        _ => {}
-    }
-
-    match names.first().copied() {
-        None | Some("list") => {
+    let args = parse(&args).unwrap_or_else(|e| {
+        eprintln!("error: {e} (try `repro list`)");
+        std::process::exit(2);
+    });
+    let scale = if args.full { Scale::Full } else { Scale::Small };
+    let seed = args.seed.unwrap_or(1);
+    let name = args.name.as_deref().unwrap_or("list");
+    match name {
+        "list" => {
             eprintln!("experiments:");
             for (n, _) in EXPERIMENTS {
                 eprintln!("  {n}");
             }
-            eprintln!("\nusage: repro <name>|all [--full]");
+            eprintln!("\nusage: repro <name>|all [--full] [--seed <n>]");
         }
-        Some("all") => {
+        "all" => {
             for (n, run) in EXPERIMENTS {
                 banner(n);
-                println!("{}", run(scale));
+                println!("{}", run(scale, seed));
             }
         }
-        Some(name) => match run_experiment(name, scale) {
-            Some(report) => {
-                banner(name);
-                println!("{report}");
-            }
-            None => {
+        // No banner: the output is a machine-diffable metrics snapshot
+        // (scripts/check.sh compares it byte-for-byte against goldens).
+        "metrics" if args.chaos => print!("{}", bench::chaos_exp::export_metrics(seed)),
+        "metrics" => print!("{}", bench::trace_exp::metrics(seed, false)),
+        _ => {
+            let Some((_, run)) = EXPERIMENTS.iter().find(|(n, _)| *n == name) else {
                 eprintln!("unknown experiment: {name} (try `repro list`)");
                 std::process::exit(2);
-            }
-        },
+            };
+            banner(name);
+            let report = match name {
+                "chaos" if args.seed.is_some() => bench::chaos_exp::replay(seed),
+                "trace" if args.chaos => bench::trace_exp::trace(seed, true),
+                "verify" => bench::verify_exp::verify(args.check),
+                "fleet" => match args.mobile {
+                    Some(clients) => bench::fleet_exp::fleet_mobile(clients),
+                    None => bench::fleet_exp::fleet(args.check),
+                },
+                _ => run(scale, seed),
+            };
+            println!("{report}");
+        }
     }
 }
 

@@ -18,25 +18,18 @@
 //!
 //! Write arrivals are calibrated by `crates/workload`'s commit-rate model
 //! (one modeled hour = one simulated second, so a day's diurnal curve is a
-//! 24 s replay), exactly as `repro perf` does, so the two benchmarks stay
-//! comparable. Propagation delays are *virtual* time: deterministic per
+//! 24 s replay). Propagation delays are *virtual* time: deterministic per
 //! seed and byte-stable across queue implementations, machines, and runs.
 //!
-//! `fleet --check` prints only those deterministic fields for the 1k, 5k,
-//! and 100k sizes (the middle sizes add wall time, not coverage); the live
-//! mode runs all five, reports wall-clock throughput, appends the
-//! `"fleet_runs"` section to `BENCH_simnet.json` (preserving `repro
-//! perf`'s `"runs"`), and emits schema + throughput gates on stderr: the
-//! fleet-wide floor (100k events/s at ≥ 5k nodes) plus per-tier floors for
-//! the 20k and 100k sizes. The floors are deliberately far below a quiet
-//! release-mode run: they catch order-of-magnitude regressions, not
-//! machine noise.
-//!
-//! Two env knobs aid hot-path work: `FLEET_PROFILE=1` switches the run
-//! from the lean queue-stats profiling level to the full per-dispatch
-//! profiler and dumps per-(kind, class) wall shares on stderr;
-//! `FLEET_ONLY=<tier>` narrows the sweep to one size. Neither changes
-//! the deterministic virtual fields.
+//! Every replay runs with the engine's self-profiler on. `fleet --check`
+//! prints only deterministic fields for the 1k, 5k, and 100k sizes (the
+//! middle sizes add wall time, not coverage), followed by the 1k fleet's
+//! busiest actors and folded stacks by event count. The live mode runs all
+//! five sizes, reports wall-clock throughput with each size's
+//! handler/engine split and per-subsystem wall shares, rewrites
+//! `BENCH_simnet.json`, and emits two gates on stderr: the file's schema
+//! check and the scaling gate, which divides events/s at 100k by events/s
+//! at 1k from the same run (see [`SCALING_FLOOR`]).
 //!
 //! `fleet --mobile <clients>` swaps one proxy per cluster of the 1k fleet
 //! for an aggregated MobileConfig population cohort
@@ -68,11 +61,6 @@ use crate::bench_json::{self, FleetRow};
 const PATHS: usize = 4;
 /// Seed for every fleet size (the replay must be deterministic).
 const SEED: u64 = 1;
-/// Events/sec floor enforced on stderr for every fleet at or above
-/// [`FLOOR_MIN_NODES`] nodes.
-const EVENTS_PER_SEC_FLOOR: f64 = 100_000.0;
-/// The floor applies from this fleet size up (the ISSUE's "≥ 5k nodes").
-const FLOOR_MIN_NODES: usize = 5_000;
 /// Simulated microseconds per modeled hour (the replay's time
 /// compression; also the spacing of the diurnal write windows).
 const HOUR_US: u64 = 1_000_000;
@@ -86,26 +74,30 @@ const FLEETS: &[(&str, usize, usize, usize)] = &[
     ("100k", 5, 20, 1000), // 100000 nodes
 ];
 
-/// Per-tier wall-clock floors (events/s), on top of the fleet-wide
-/// [`EVENTS_PER_SEC_FLOOR`]. The 20k floor encodes the lease-protocol
-/// speedup over the pre-lease baseline (825,993 events/s on the same
-/// hardware class); the 100k floor is the paper-scale viability gate.
-const TIER_FLOORS: &[(&str, f64)] = &[("20k", 1_400_000.0), ("100k", 100_000.0)];
-
-/// Replay repetitions per tier in live mode, best wall kept. The replay
-/// is deterministic, so repeats change nothing virtual — they only guard
-/// the wall-clock floor against first-run noise (cold page cache, CPU
-/// frequency ramp: ±20% observed on the same machine back to back). Only
-/// the 20k tier repeats: its floor is the 2× lease-speedup gate with real
-/// teeth, while the 100k floor has ~9× headroom and the ungated tiers
-/// carry no wall assertion at all.
-const TIER_REPEATS: &[(&str, usize)] = &[("20k", 3)];
+/// Floor of the scaling gate: events/s at the larger of [`SCALING_TIERS`]
+/// divided by events/s at the smaller, both from one live run. Host speed
+/// cancels out of the ratio, so what it catches is per-event cost that
+/// grows with fleet size — the class of regression watch leases fixed,
+/// which no small-fleet measurement can see. Uniform slowdowns are the
+/// repo benchmark's job (`sim_events_per_s` on `fleet_day`/`fleet_faults`).
+/// Half the lowest ratio over the live runs listed in EXPERIMENTS.md
+/// (0.174 of five), rounded down.
+const SCALING_FLOOR: f64 = 0.08;
+/// The (small, large) fleet sizes the scaling gate compares.
+const SCALING_TIERS: (&str, &str) = ("1k", "100k");
 
 struct FleetResult {
     row: FleetRow,
     bytes_sent: u64,
     queue_peak: usize,
     queue_mean: f64,
+    /// Wall milliseconds inside actor handlers; the rest of `row.wall_ms`
+    /// is the engine (queue, network model, dispatch).
+    handler_ms: f64,
+    /// Busiest actors by event count (virtual; deterministic).
+    busy_table: String,
+    /// Folded stacks by event count (virtual; deterministic).
+    folded: String,
 }
 
 /// Installs the Zeus tree and schedules the diurnal write day; returns
@@ -137,36 +129,11 @@ fn build_scenario(sim: &mut Sim) -> (SimTime, u64, ZeusDeployment) {
     (horizon, seq, zeus)
 }
 
-/// One replay of one fleet size, best-of-N on wall time (see
-/// [`TIER_REPEATS`]); every virtual field is identical across repeats.
 fn run_fleet(name: &str, regions: usize, clusters: usize, servers: usize) -> FleetResult {
-    let repeats = TIER_REPEATS
-        .iter()
-        .find(|&&(t, _)| t == name)
-        .map_or(1, |&(_, n)| n);
-    let mut best: Option<FleetResult> = None;
-    for _ in 0..repeats {
-        let r = run_fleet_once(name, regions, clusters, servers);
-        match &best {
-            Some(b) if b.row.wall_ms <= r.row.wall_ms => {}
-            _ => best = Some(r),
-        }
-    }
-    best.expect("at least one repeat")
-}
-
-fn run_fleet_once(name: &str, regions: usize, clusters: usize, servers: usize) -> FleetResult {
     let topo = Topology::symmetric(regions, clusters, servers);
     let nodes = topo.num_nodes();
     let mut sim = Sim::new(topo, NetConfig::datacenter(), SEED);
-    // The report prints queue peak/mean only, so the lean queue-stats mode
-    // suffices; FLEET_PROFILE=1 switches on the full per-dispatch profiler
-    // for hot-path diagnosis (at ~10% wall overhead at 20k nodes).
-    if std::env::var_os("FLEET_PROFILE").is_some() {
-        sim.enable_profiler();
-    } else {
-        sim.enable_queue_stats();
-    }
+    sim.enable_profiler();
     let (horizon, writes, _zeus) = build_scenario(&mut sim);
     let start = Instant::now();
     sim.run_until(horizon);
@@ -187,25 +154,8 @@ fn run_fleet_once(name: &str, regions: usize, clusters: usize, servers: usize) -
         }
     };
     let propagation_ms = [prop(50.0), prop(90.0), prop(99.0), prop(99.9), prop(100.0)];
-    if std::env::var_os("FLEET_PROFILE").is_some() {
-        let pr = sim.profiler();
-        let handler_ns: u64 = pr.by_kind().iter().map(|(_, c)| c.wall_ns).sum();
-        eprintln!(
-            "[{name}] wall={:.1}ms handlers={:.1}ms engine={:.1}ms",
-            wall.as_secs_f64() * 1e3,
-            handler_ns as f64 / 1e6,
-            wall.as_secs_f64() * 1e3 - handler_ns as f64 / 1e6
-        );
-        for (k, c, cell) in pr.cells() {
-            eprintln!(
-                "  {k}/{}: events={} wall_ms={:.1}",
-                c.label(),
-                cell.events,
-                cell.wall_ns as f64 / 1e6
-            );
-        }
-    }
     let p = sim.profiler();
+    let handler_ns: u64 = p.by_kind().iter().map(|(_, c)| c.wall_ns).sum();
     FleetResult {
         row: FleetRow {
             fleet: name.to_string(),
@@ -217,10 +167,18 @@ fn run_fleet_once(name: &str, regions: usize, clusters: usize, servers: usize) -
             proxy_updates: sim.metrics().counter(PROXY_UPDATES),
             samples,
             propagation_ms,
+            subsystem_wall_shares: p
+                .subsystem_wall_shares()
+                .into_iter()
+                .map(|(k, s)| (k.to_string(), s))
+                .collect(),
         },
         bytes_sent: sim.metrics().counter(simnet::stats::names::BYTES_SENT),
         queue_peak: p.queue_peak(),
         queue_mean: p.queue_mean(),
+        handler_ms: handler_ns as f64 / 1e6,
+        busy_table: p.render_hot_actors(5, false),
+        folded: p.folded_stacks(false),
     }
 }
 
@@ -246,24 +204,60 @@ fn virtual_report(out: &mut String, r: &FleetResult) {
     );
 }
 
+/// The deterministic part of the profiler's view of one replay: the
+/// busiest actors and the folded stacks, both by event count.
+fn profile_report(out: &mut String, r: &FleetResult) {
+    let name = &r.row.fleet;
+    let _ = writeln!(
+        out,
+        "busiest actors, {name} fleet (by events):\n{}",
+        r.busy_table
+    );
+    let _ = writeln!(
+        out,
+        "folded stacks, {name} fleet (event counts):\n{}",
+        r.folded
+    );
+}
+
+/// The one wall-clock gate, as its stderr line (see [`SCALING_FLOOR`]). A
+/// run missing either tier fails: a gate that was not evaluated must not
+/// read as passed.
+fn scaling_gate(rows: &[FleetRow]) -> String {
+    let (small, large) = SCALING_TIERS;
+    let eps = |tier: &str| {
+        rows.iter()
+            .find(|r| r.fleet == tier)
+            .map(|r| r.events_per_sec)
+    };
+    match (eps(small), eps(large)) {
+        (Some(s), Some(l)) if s > 0.0 => {
+            let ratio = l / s;
+            let verdict = if ratio >= SCALING_FLOOR {
+                "PASS"
+            } else {
+                "FAIL"
+            };
+            format!(
+                "fleet scaling gate: {verdict} ({large}/{small} events/s = {l:.0}/{s:.0} = {ratio:.3}, floor {SCALING_FLOOR:.2})"
+            )
+        }
+        _ => format!("fleet scaling gate: FAIL (the run lacks the {small} or {large} fleet)"),
+    }
+}
+
 /// Runs the paper-scale replay. With `check` set, runs the 1k, 5k, and
-/// 100k sizes and prints only the deterministic virtual fields
-/// (golden-gated by `scripts/check.sh`); otherwise runs all five sizes,
-/// prints the live wall-clock report, updates `BENCH_simnet.json`, and
-/// emits the schema + throughput gates on stderr.
+/// 100k sizes and prints only deterministic fields (golden-gated by
+/// `scripts/check.sh`); otherwise runs all five sizes, prints the live
+/// wall-clock report, rewrites `BENCH_simnet.json`, and emits the schema
+/// and scaling gates on stderr. Exits the process with status 1 if the
+/// file cannot be written.
 pub fn fleet(check: bool) -> String {
     let mut out = String::new();
-    let only = std::env::var("FLEET_ONLY").ok();
-    let sizes: Vec<&(&str, usize, usize, usize)> = FLEETS
+    let results: Vec<FleetResult> = FLEETS
         .iter()
-        .filter(|&&(name, ..)| match &only {
-            Some(o) => name == o,
-            None => !(check && (name == "20k" || name == "50k")),
-        })
-        .collect();
-    let results: Vec<FleetResult> = sizes
-        .iter()
-        .map(|&&(name, r, c, s)| run_fleet(name, r, c, s))
+        .filter(|&&(name, ..)| !(check && (name == "20k" || name == "50k")))
+        .map(|&(name, r, c, s)| run_fleet(name, r, c, s))
         .collect();
 
     if check {
@@ -276,6 +270,7 @@ pub fn fleet(check: bool) -> String {
         for r in &results {
             virtual_report(&mut out, r);
         }
+        profile_report(&mut out, &results[0]);
         return out;
     }
 
@@ -291,53 +286,34 @@ pub fn fleet(check: bool) -> String {
             "fleet={} nodes={} events={} wall_ms={:.1} events/sec={:.0}",
             row.fleet, row.nodes, row.events, row.wall_ms, row.events_per_sec
         );
+        let shares: Vec<String> = row
+            .subsystem_wall_shares
+            .iter()
+            .map(|(k, s)| format!("{k}={:.1}%", s * 100.0))
+            .collect();
+        let _ = writeln!(
+            out,
+            "wall split: handlers={:.1}ms engine={:.1}ms; subsystem wall-time shares: {}",
+            r.handler_ms,
+            row.wall_ms - r.handler_ms,
+            shares.join(" ")
+        );
         virtual_report(&mut out, r);
     }
 
-    let rows: Vec<FleetRow> = results.iter().map(|r| r.row.clone()).collect();
-    match bench_json::write_fleet(bench_json::PATH, &rows) {
-        Ok(()) => eprintln!("wrote {} (fleet_runs section)", bench_json::PATH),
-        Err(e) => eprintln!("fleet: failed to write {}: {e}", bench_json::PATH),
+    let rows: Vec<FleetRow> = results.into_iter().map(|r| r.row).collect();
+    let json = bench_json::render(&rows);
+    if let Err(e) = std::fs::write(bench_json::PATH, &json) {
+        // The file on disk is stale now; nothing below may pass for it.
+        eprintln!("fleet: failed to write {}: {e}", bench_json::PATH);
+        std::process::exit(1);
     }
-    match std::fs::read_to_string(bench_json::PATH)
-        .map_err(|e| format!("unreadable: {e}"))
-        .and_then(|t| bench_json::validate(&t))
-    {
+    eprintln!("wrote {}", bench_json::PATH);
+    match bench_json::validate(&json) {
         Ok(()) => eprintln!("fleet schema: OK"),
         Err(e) => eprintln!("fleet schema: FAIL ({e})"),
     }
-    let gated: Vec<&FleetResult> = results
-        .iter()
-        .filter(|r| r.row.nodes >= FLOOR_MIN_NODES as u64)
-        .collect();
-    let worst = gated
-        .iter()
-        .map(|r| r.row.events_per_sec)
-        .fold(f64::INFINITY, f64::min);
-    if gated.is_empty() {
-        eprintln!("fleet throughput gate: SKIP (no fleet at >= {FLOOR_MIN_NODES} nodes)");
-    } else if worst >= EVENTS_PER_SEC_FLOOR {
-        eprintln!(
-            "fleet throughput gate: PASS (slowest >= {FLOOR_MIN_NODES}-node fleet {worst:.0} events/s >= floor {EVENTS_PER_SEC_FLOOR:.0})"
-        );
-    } else {
-        eprintln!(
-            "fleet throughput gate: FAIL (slowest >= {FLOOR_MIN_NODES}-node fleet {worst:.0} events/s < floor {EVENTS_PER_SEC_FLOOR:.0})"
-        );
-    }
-    for &(tier, floor) in TIER_FLOORS {
-        match results.iter().find(|r| r.row.fleet == tier) {
-            Some(r) if r.row.events_per_sec >= floor => eprintln!(
-                "fleet tier gate [{tier}]: PASS ({:.0} events/s >= floor {floor:.0})",
-                r.row.events_per_sec
-            ),
-            Some(r) => eprintln!(
-                "fleet tier gate [{tier}]: FAIL ({:.0} events/s < floor {floor:.0})",
-                r.row.events_per_sec
-            ),
-            None => eprintln!("fleet tier gate [{tier}]: SKIP (tier not run)"),
-        }
-    }
+    eprintln!("{}", scaling_gate(&rows));
     out
 }
 
@@ -503,14 +479,26 @@ mod tests {
         let (name, r, c, s) = FLEETS[0];
         let a = run_fleet(name, r, c, s);
         let b = run_fleet(name, r, c, s);
-        let mut ra = String::new();
-        let mut rb = String::new();
-        virtual_report(&mut ra, &a);
-        virtual_report(&mut rb, &b);
-        assert_eq!(ra, rb, "virtual fleet report must be byte-identical");
+        let report = |r: &FleetResult| {
+            let mut out = String::new();
+            virtual_report(&mut out, r);
+            profile_report(&mut out, r);
+            out
+        };
+        let ra = report(&a);
+        assert_eq!(
+            ra,
+            report(&b),
+            "virtual fleet report must be byte-identical"
+        );
+        assert!(
+            ra.contains("sim;zeus.ensemble;deliver"),
+            "folded stacks:\n{ra}"
+        );
         // Wall-clock leak audit: the --check surface is built from
-        // `virtual_report` only, so nothing wall-clock may appear in it.
-        for leak in ["wall_ms", "events/sec", "wall"] {
+        // `virtual_report` and `profile_report` only, so nothing
+        // wall-clock may appear in it.
+        for leak in ["wall_ms", "events/sec", "wall", "share"] {
             assert!(
                 !ra.contains(leak),
                 "wall-clock field {leak:?} leaked into --check"
@@ -528,6 +516,33 @@ mod tests {
         );
         let p = &a.row.propagation_ms;
         assert!(p[0] > 0.0 && p[0] <= p[1] && p[1] <= p[2] && p[2] <= p[4]);
+    }
+
+    #[test]
+    fn scaling_gate_compares_the_two_tiers_of_one_run() {
+        let row = |fleet: &str, events_per_sec: f64| FleetRow {
+            fleet: fleet.to_string(),
+            nodes: 0,
+            events: 0,
+            wall_ms: 0.0,
+            events_per_sec,
+            writes: 0,
+            proxy_updates: 0,
+            samples: 0,
+            propagation_ms: [0.0; 5],
+            subsystem_wall_shares: Vec::new(),
+        };
+        let small = 3.0e6;
+        let pass = scaling_gate(&[
+            row("1k", small),
+            row("5k", 2.0e6),
+            row("100k", small * SCALING_FLOOR * 1.5),
+        ]);
+        assert!(pass.starts_with("fleet scaling gate: PASS"), "{pass}");
+        let fail = scaling_gate(&[row("1k", small), row("100k", small * SCALING_FLOOR * 0.5)]);
+        assert!(fail.starts_with("fleet scaling gate: FAIL"), "{fail}");
+        let missing = scaling_gate(&[row("1k", small), row("5k", 2.0e6)]);
+        assert!(missing.starts_with("fleet scaling gate: FAIL"), "{missing}");
     }
 
     #[test]

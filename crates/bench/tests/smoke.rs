@@ -6,7 +6,7 @@
 use bench::{run_experiment, Scale, EXPERIMENTS};
 
 fn run(name: &str) -> String {
-    run_experiment(name, Scale::Small).expect("known experiment")
+    run_experiment(name, Scale::Small, 1).expect("known experiment")
 }
 
 #[test]
@@ -70,7 +70,7 @@ fn mobile_bandwidth() {
 
 #[test]
 fn unknown_experiment_is_none() {
-    assert!(run_experiment("nope", Scale::Small).is_none());
+    assert!(run_experiment("nope", Scale::Small, 1).is_none());
 }
 
 #[test]

@@ -148,13 +148,6 @@ pub struct HotActor {
 #[derive(Debug, Default)]
 pub struct Profiler {
     enabled: bool,
-    /// Queue-depth tracking without per-dispatch timing: everything the
-    /// paper-scale fleet report needs (peak/mean occupancy) at the cost of
-    /// two integer updates per event, no clock reads, no cell accounting.
-    /// Implied by [`enable`](Profiler::enable); independently switchable
-    /// via [`enable_queue_stats`](Profiler::enable_queue_stats) so a
-    /// 100k-node replay is not taxed ~10% for numbers it never prints.
-    queue_stats: bool,
     /// Flat cell table scanned linearly on the hot path. The working set is
     /// a handful of (kind, class) pairs and `kind` labels are `'static`
     /// literals, so a pointer-equality fast path resolves almost every
@@ -176,7 +169,6 @@ impl Profiler {
     pub(crate) fn new(num_nodes: usize) -> Profiler {
         Profiler {
             enabled: false,
-            queue_stats: false,
             cells: Vec::new(),
             ns_per_tick: 1.0,
             nodes: (0..num_nodes).map(|_| NodeProfile::default()).collect(),
@@ -188,23 +180,13 @@ impl Profiler {
 
     pub(crate) fn enable(&mut self) {
         self.enabled = true;
-        self.queue_stats = true;
         self.ns_per_tick = calibrate_ns_per_tick();
     }
 
-    pub(crate) fn enable_queue_stats(&mut self) {
-        self.queue_stats = true;
-    }
-
-    /// Whether the profiler is recording full per-dispatch accounting.
+    /// Whether the profiler is recording (per-dispatch accounting and
+    /// queue-depth stats).
     pub fn enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// Whether queue-depth stats are tracked (full profiling or the
-    /// lightweight queue-only mode).
-    pub fn queue_stats_enabled(&self) -> bool {
-        self.queue_stats
     }
 
     #[inline]

@@ -266,14 +266,6 @@ impl Sim {
         self.profiler.enable();
     }
 
-    /// Turns on queue-depth tracking only (peak and mean occupancy) —
-    /// the subset of profiling the paper-scale fleet report prints —
-    /// without the per-dispatch clock reads and cell accounting of the
-    /// full profiler. Two integer updates per event.
-    pub fn enable_queue_stats(&mut self) {
-        self.profiler.enable_queue_stats();
-    }
-
     /// The self-profiler's accumulated accounting.
     pub fn profiler(&self) -> &Profiler {
         &self.profiler
@@ -478,7 +470,7 @@ impl Sim {
         debug_assert!(key.at_us >= self.now.0, "time went backwards");
         self.now = SimTime(key.at_us);
         self.events_processed += 1;
-        if self.profiler.queue_stats_enabled() {
+        if self.profiler.enabled() {
             self.profiler.observe_queue_step(self.queue.len());
         }
         // Opportunistic upkeep: drop per-link FIFO clamps that can no
@@ -650,7 +642,7 @@ impl Sim {
             seq,
             idx,
         });
-        if self.profiler.queue_stats_enabled() {
+        if self.profiler.enabled() {
             self.profiler.observe_queue_push(self.queue.len());
         }
     }

@@ -296,6 +296,17 @@ impl EnsembleActor {
         self.contig
     }
 
+    /// The catch-up request: sync from the highest zxid through which this
+    /// node has logged *and applied* everything. `contig` alone may sit on
+    /// appended entries that were never committed here, and the reply's
+    /// `SyncReply { upto }` fast-forwards the store past what it asked
+    /// for — so a request from `contig` would skip those entries for good.
+    fn sync_request(&self) -> ZeusMsg {
+        ZeusMsg::ObserverSync {
+            last_zxid: self.contig.min(self.committed),
+        }
+    }
+
     /// Heard from a leader of `leader_epoch`: drop uncommitted log entries
     /// appended under earlier epochs. The new leader re-proposes its own
     /// uncommitted suffix under its epoch, so any such entry is either
@@ -724,9 +735,7 @@ impl EnsembleActor {
                         ctx.send_value(
                             from,
                             64,
-                            ZeusMsg::ObserverSync {
-                                last_zxid: self.contig,
-                            },
+                            self.sync_request(),
                         );
                     }
                 }
@@ -769,9 +778,7 @@ impl EnsembleActor {
                     ctx.send_value(
                         leader,
                         64,
-                        ZeusMsg::ObserverSync {
-                            last_zxid: self.contig,
-                        },
+                        self.sync_request(),
                     );
                 }
             ZeusMsg::ObserverSync { last_zxid }
@@ -915,13 +922,7 @@ impl Actor for EnsembleActor {
         self.role = Role::Follower;
         self.heard_from_leader = false;
         if let Some(leader) = self.current_leader {
-            ctx.send_value(
-                leader,
-                64,
-                ZeusMsg::ObserverSync {
-                    last_zxid: self.contig,
-                },
-            );
+            ctx.send_value(leader, 64, self.sync_request());
         }
         self.arm_election(ctx);
     }

@@ -1012,3 +1012,56 @@ fn observer_restart_fences_stale_leases_and_watchers_fall_back() {
     sim.run_for(SimDuration::from_secs(3));
     assert_eq!(zeus.coverage(&sim, "cfg/fence", b"v2"), 1.0);
 }
+
+#[test]
+fn member_crashed_holding_an_uncommitted_append_applies_it_on_rejoin() {
+    // A follower appends a write and crashes before the `CommitUpTo` that
+    // commits it; the rest of the ensemble commits it without the victim.
+    // Leadership then moves away and back to the member the victim last
+    // followed, and the victim recovers after the last write, so nothing
+    // but its rejoin sync can deliver the commit. Its own log already
+    // holds the write: the sync must not assert completeness past it.
+    // The victim shares the leader's region, so the sync reply lands
+    // before the next heartbeat could apply the commit the other way.
+    let (mut sim, zeus) = deployment(22, vec!["cfg/held".into()]);
+    let leader = zeus.initial_leader();
+    let victim = zeus.ensemble[3];
+    let t = sim.now();
+    zeus.write_at(&mut sim, t, "cfg/held", &b"held"[..]);
+    loop {
+        assert!(sim.step(), "the write never reached the victim");
+        let a: &EnsembleActor = sim.actor(victim).unwrap();
+        if a.contiguous() > a.committed() {
+            break;
+        }
+    }
+    sim.crash(victim);
+    sim.run_for(SimDuration::from_secs(1));
+    let l: &EnsembleActor = sim.actor(leader).unwrap();
+    assert!(l.store().get("cfg/held").is_some(), "quorum must commit");
+
+    sim.crash(leader);
+    sim.run_for(SimDuration::from_secs(3));
+    let interim = max_epoch_leader(&sim, &zeus.ensemble);
+    sim.recover(leader);
+    sim.run_for(SimDuration::from_secs(2));
+    sim.crash(interim);
+    sim.run_for(SimDuration::from_secs(3));
+    let back = max_epoch_leader(&sim, &zeus.ensemble);
+    let v: &EnsembleActor = sim.actor(victim).unwrap();
+    assert_eq!(
+        (back, v.known_leader()),
+        (leader, Some(leader)),
+        "scenario precondition: the victim's last leader leads again"
+    );
+    assert!(sim.actor::<EnsembleActor>(back).unwrap().epoch() > 1);
+
+    sim.recover(victim);
+    sim.run_for(SimDuration::from_secs(3));
+    let v: &EnsembleActor = sim.actor(victim).unwrap();
+    assert_eq!(
+        v.store().get("cfg/held").map(|w| &w.data[..]),
+        Some(&b"held"[..]),
+        "the rejoined member never applied the write it held"
+    );
+}
