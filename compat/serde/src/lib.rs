@@ -28,17 +28,27 @@ pub trait Deserialize: Sized {
     fn deserialize_value(v: &Value) -> Result<Self, String>;
 }
 
+// Integers travel exactly: a value above i64::MAX is encoded as
+// `Number::UInt`, and decoding rejects a fraction or an out-of-range value
+// instead of truncating or saturating it.
 macro_rules! int_impls {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
             fn serialize_value(&self) -> Value {
-                Value::Number(Number::from_i64(*self as i64))
+                Value::Number(match i64::try_from(*self) {
+                    Ok(i) => Number::Int(i),
+                    Err(_) => Number::UInt(*self as u64),
+                })
             }
         }
         impl Deserialize for $t {
             fn deserialize_value(v: &Value) -> Result<$t, String> {
                 match v {
-                    Value::Number(n) => Ok(n.as_f64() as $t),
+                    Value::Number(n) => {
+                        let i = n.as_i128().ok_or_else(|| format!("expected integer, got {n}"))?;
+                        <$t>::try_from(i)
+                            .map_err(|_| format!("{i} is out of range for {}", stringify!($t)))
+                    }
                     _ => Err(format!("expected number, got {v:?}")),
                 }
             }
@@ -215,6 +225,26 @@ mod tests {
         assert!(bool::deserialize_value(&v).unwrap());
         let v = "hi".to_string().serialize_value();
         assert_eq!(String::deserialize_value(&v).unwrap(), "hi");
+    }
+
+    #[test]
+    fn integers_round_trip_exactly() {
+        for x in [0, (1u64 << 53) + 1, u64::MAX] {
+            assert_eq!(u64::deserialize_value(&x.serialize_value()).unwrap(), x);
+        }
+        for x in [i64::MIN, -((1i64 << 53) + 1), i64::MAX] {
+            assert_eq!(i64::deserialize_value(&x.serialize_value()).unwrap(), x);
+        }
+    }
+
+    #[test]
+    fn integer_decoding_rejects_fractions_and_range_errors() {
+        let num = |f: f64| Value::Number(Number::from_f64(f));
+        assert!(u32::deserialize_value(&num(2.9)).is_err());
+        assert!(u32::deserialize_value(&num(-5.0)).is_err());
+        assert!(u8::deserialize_value(&num(256.0)).is_err());
+        assert!(i64::deserialize_value(&u64::MAX.serialize_value()).is_err());
+        assert_eq!(u32::deserialize_value(&num(7.0)), Ok(7));
     }
 
     #[test]

@@ -11,6 +11,8 @@ use std::fmt;
 pub enum Number {
     /// An integer that fits i64.
     Int(i64),
+    /// An integer above `i64::MAX` that fits u64.
+    UInt(u64),
     /// Any other finite number.
     Float(f64),
 }
@@ -35,14 +37,25 @@ impl Number {
     pub fn as_f64(&self) -> f64 {
         match self {
             Number::Int(v) => *v as f64,
+            Number::UInt(v) => *v as f64,
             Number::Float(v) => *v,
         }
     }
 
-    /// The value as i64 when integral.
+    /// The value as i64 when integral and in range.
     pub fn as_i64(&self) -> Option<i64> {
         match self {
             Number::Int(v) => Some(*v),
+            Number::UInt(_) | Number::Float(_) => None,
+        }
+    }
+
+    /// The exact value when integral: the one path integer decoding takes,
+    /// so no integer passes through f64.
+    pub fn as_i128(&self) -> Option<i128> {
+        match self {
+            Number::Int(v) => Some(i128::from(*v)),
+            Number::UInt(v) => Some(i128::from(*v)),
             Number::Float(_) => None,
         }
     }
@@ -50,7 +63,10 @@ impl Number {
 
 impl PartialEq for Number {
     fn eq(&self, other: &Number) -> bool {
-        self.as_f64() == other.as_f64()
+        match (self.as_i128(), other.as_i128()) {
+            (Some(a), Some(b)) => a == b,
+            _ => self.as_f64() == other.as_f64(),
+        }
     }
 }
 
@@ -58,6 +74,7 @@ impl fmt::Display for Number {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Number::Int(v) => write!(f, "{v}"),
+            Number::UInt(v) => write!(f, "{v}"),
             Number::Float(v) => {
                 if v.is_finite() {
                     // `{}` on f64 is the shortest round-trippable form, but
@@ -267,11 +284,16 @@ fn render_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// How deep arrays and objects may nest, as in `serde_json`. The parser
+/// recurses once per level, so an unbounded depth lets a document of
+/// brackets overflow the stack and abort the process.
+pub const MAX_DEPTH: usize = 128;
+
 /// A recursive-descent JSON parser for the stub.
 pub fn parse(text: &str) -> Result<Value, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let v = parse_value(bytes, &mut pos)?;
+    let v = parse_value(bytes, &mut pos, MAX_DEPTH)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing characters at byte {pos}"));
@@ -285,11 +307,17 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+/// Parses one value; `depth` is how many more levels may open below it.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     skip_ws(b, pos);
     let Some(&c) = b.get(*pos) else {
         return Err("unexpected end of input".to_string());
     };
+    if matches!(c, b'[' | b'{') && depth == 0 {
+        return Err(format!(
+            "nested deeper than {MAX_DEPTH} levels at byte {pos}"
+        ));
+    }
     match c {
         b'n' => expect_lit(b, pos, "null").map(|_| Value::Null),
         b't' => expect_lit(b, pos, "true").map(|_| Value::Bool(true)),
@@ -304,7 +332,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
                 return Ok(Value::Array(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth - 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -332,7 +360,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
                     return Err(format!("expected ':' at byte {pos}"));
                 }
                 *pos += 1;
-                let value = parse_value(b, pos)?;
+                let value = parse_value(b, pos, depth - 1)?;
                 map.insert(key, value);
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -439,6 +467,9 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Value, String> {
         if let Ok(i) = text.parse::<i64>() {
             return Ok(Value::Number(Number::Int(i)));
         }
+        if let Ok(u) = text.parse::<u64>() {
+            return Ok(Value::Number(Number::UInt(u)));
+        }
     }
     text.parse::<f64>()
         .map(|f| Value::Number(Number::from_f64(f)))
@@ -467,6 +498,31 @@ mod tests {
     fn int_and_float_forms_compare_equal() {
         assert_eq!(parse("2").unwrap(), parse("2.0").unwrap());
         assert_ne!(parse("2").unwrap(), parse("2.5").unwrap());
+    }
+
+    #[test]
+    fn integers_beyond_f64_precision_stay_exact() {
+        for text in [
+            "9007199254740993",
+            "18446744073709551615",
+            "-9223372036854775808",
+        ] {
+            let v = parse(text).unwrap();
+            assert_eq!(v.render_compact(), text);
+        }
+        assert_ne!(
+            parse("9007199254740993").unwrap(),
+            parse("9007199254740992").unwrap()
+        );
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse(&deep).unwrap_err().contains("nested deeper"));
+        assert!(parse(&"{\"a\":".repeat(200_000)).is_err());
     }
 
     #[test]

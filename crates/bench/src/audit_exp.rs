@@ -34,6 +34,8 @@ use zeus::deploy::{DeployConfig, ZeusDeployment};
 use zeus::proxy::ProxyActor;
 use zeus::types::{Write, Zxid};
 
+use crate::{verdict, Gate, Report};
+
 /// Config paths under audit.
 const PATHS: usize = 4;
 /// When faults are seeded (fleet fully converged well before this).
@@ -312,8 +314,8 @@ pub fn run(seed: u64) -> AuditOutcome {
 }
 
 /// `repro audit`: one seeded run, reported deterministically
-/// (golden-gated by `scripts/check.sh`).
-pub fn report(seed: u64) -> String {
+/// (golden-gated by `repro check`).
+pub fn report(seed: u64) -> Report {
     let o = run(seed);
     let mut out = format!(
         "drift audit — seed {seed}\n\
@@ -355,29 +357,24 @@ pub fn report(seed: u64) -> String {
          repair: {} — fleet {}\n\noverall: {}\n",
         o.remaining,
         o.laser_remaining,
-        if o.detected == o.seeded && o.laser_detected == o.laser_seeded {
-            "PASS"
-        } else {
-            "FAIL"
-        },
+        verdict(o.detected == o.seeded && o.laser_detected == o.laser_seeded),
         o.detected.intersection(&o.seeded).count(),
         o.seeded.len(),
         o.laser_detected,
         o.laser_seeded,
         o.detected.difference(&o.seeded).count(),
-        if o.remaining == 0 && o.laser_remaining == 0 {
-            "PASS"
-        } else {
-            "FAIL"
-        },
+        verdict(o.remaining == 0 && o.laser_remaining == 0),
         if o.remaining == 0 && o.laser_remaining == 0 {
             "clean"
         } else {
             "still drifted"
         },
-        if o.ok() { "PASS" } else { "FAIL" },
+        verdict(o.ok()),
     ));
-    out
+    Report::new(
+        out,
+        vec![Gate::new("overall", o.ok(), "detection and repair")],
+    )
 }
 
 #[cfg(test)]
@@ -401,6 +398,6 @@ mod tests {
 
     #[test]
     fn audit_report_is_deterministic_per_seed() {
-        assert_eq!(report(1), report(1));
+        assert_eq!(report(1).text, report(1).text);
     }
 }

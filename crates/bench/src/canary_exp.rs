@@ -47,6 +47,8 @@ use zeus::deploy::{DeployConfig, ZeusDeployment};
 use zeus::proxy::ProxyActor;
 use zeus::types::{Write, Zxid};
 
+use crate::{verdict, Gate, Report};
+
 /// Distinct config names the commit workload cycles over.
 const NAMES: usize = 2;
 /// Commits pushed through the pipeline by default.
@@ -779,8 +781,8 @@ fn run_impl(cfg: RunConfig) -> (RunOutcome, Sim) {
 }
 
 /// `repro canary`: one seeded rollout campaign under chaos with seeded
-/// drift, reported deterministically (golden-gated by `scripts/check.sh`).
-pub fn report(seed: u64) -> String {
+/// drift, reported deterministically (golden-gated by `repro check`).
+pub fn report(seed: u64) -> Report {
     let (o, _) = run_impl(RunConfig {
         seed,
         commits: COMMITS,
@@ -813,14 +815,10 @@ pub fn report(seed: u64) -> String {
     out.push_str("\ngates:\n");
     out.push_str(&format!(
         "  containment: {} — {} blast-radius violations; {}/{} bad commits rolled back, {} reverts in gitstore\n",
-        if o.violations.is_empty()
+        verdict(o.violations.is_empty()
             && o.rollbacks as usize == o.bad_commits
             && o.reverts_in_git == o.bad_commits
-        {
-            "PASS"
-        } else {
-            "FAIL"
-        },
+       ),
         o.violations.len(),
         o.rollbacks,
         o.bad_commits,
@@ -831,11 +829,7 @@ pub fn report(seed: u64) -> String {
     }
     out.push_str(&format!(
         "  convergence: {} — {}\n",
-        if !o.converged.is_empty() && o.converged.iter().all(|(_, c)| *c) {
-            "PASS"
-        } else {
-            "FAIL"
-        },
+        verdict(!o.converged.is_empty() && o.converged.iter().all(|(_, c)| *c)),
         o.converged
             .iter()
             .map(|(n, c)| format!("{n} {}", if *c { "ok" } else { "LAGGING" }))
@@ -844,23 +838,14 @@ pub fn report(seed: u64) -> String {
     ));
     out.push_str(&format!(
         "  drift repair: {} — {} seeded, {} left at final sweep\n",
-        if o.drift_seeded > 0 && o.final_drift == 0 {
-            "PASS"
-        } else {
-            "FAIL"
-        },
+        verdict(o.drift_seeded > 0 && o.final_drift == 0),
         o.drift_seeded,
         o.final_drift,
     ));
-    out.push_str(&format!(
-        "\noverall: {}\n",
-        if o.ok() && o.drift_seeded > 0 {
-            "PASS"
-        } else {
-            "FAIL"
-        }
-    ));
-    out
+    let overall = o.ok() && o.drift_seeded > 0;
+    out.push_str(&format!("\noverall: {}\n", verdict(overall)));
+    let gate = Gate::new("overall", overall, "containment, convergence, drift repair");
+    Report::new(out, vec![gate])
 }
 
 #[cfg(test)]

@@ -28,6 +28,8 @@ use zeus::invariants::{
     DiskCacheAvailability, MonotonicApplies, NoAckedWriteLost, ProxyConvergence,
 };
 
+use crate::{Gate, Report};
+
 /// Config paths the workload writes and every proxy subscribes to.
 const PATHS: usize = 4;
 /// One write every this many microseconds while the plan is active.
@@ -64,7 +66,7 @@ pub fn run_scenario(seed: u64) -> ScenarioOutcome {
 
 /// Runs one seeded scenario and exports every counter and histogram in
 /// Prometheus text exposition format. Byte-deterministic per seed — this
-/// is the snapshot `scripts/check.sh` diffs against checked-in goldens.
+/// is the snapshot `repro check` diffs against checked-in goldens.
 pub fn export_metrics(seed: u64) -> String {
     let (_, sim) = run_scenario_impl(seed, false);
     sim.metrics().export_prometheus()
@@ -236,7 +238,7 @@ fn verdict_line(v: &Verdict) -> String {
 
 /// Runs `scenarios` seeded scenarios and summarizes their verdicts. Failing
 /// seeds are listed for replay.
-pub fn campaign(scenarios: u64) -> String {
+pub fn campaign(scenarios: u64) -> Report {
     let mut out = format!(
         "chaos campaign: {scenarios} seeded scenarios over a 3-region fleet\n\
          (5-node ensemble, 12 observers, 31 proxies; crashes at every tier,\n\
@@ -280,19 +282,20 @@ pub fn campaign(scenarios: u64) -> String {
         "\n{}/{scenarios} scenarios passed all 4 invariants\n",
         scenarios - failing.len() as u64
     ));
+    let seeds: Vec<String> = failing.iter().map(u64::to_string).collect();
     if !failing.is_empty() {
-        let seeds: Vec<String> = failing.iter().map(u64::to_string).collect();
         out.push_str(&format!(
             "FAILING SEEDS: {} — replay with `repro chaos --seed <n>`\n",
             seeds.join(" ")
         ));
     }
-    out
+    let gate = Gate::new("failing seeds", failing.is_empty(), seeds.join(" "));
+    Report::new(out, vec![gate])
 }
 
 /// Replays a single seed verbosely (fault schedule, per-invariant verdicts,
-/// and protocol counters).
-pub fn replay(seed: u64) -> String {
+/// and protocol counters); each invariant is a gate.
+pub fn replay(seed: u64) -> Report {
     let (o, _) = run_scenario_impl(seed, true);
     let mut out = format!(
         "chaos scenario seed {seed} — {}\n\ninjected faults:\n",
@@ -320,5 +323,5 @@ pub fn replay(seed: u64) -> String {
     if let Some(p) = &o.propagation {
         out.push_str(&format!("\n{p}\n"));
     }
-    out
+    Report::new(out, o.verdicts.iter().map(Gate::from).collect())
 }

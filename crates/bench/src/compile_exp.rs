@@ -14,15 +14,14 @@
 //!   skips, so every cache counter is exactly reproducible;
 //! * **fast** — the default options (parallel workers + cache + skips).
 //!
-//! Stdout is byte-deterministic — corpus shape, candidate/compiled/skipped
-//! counts, exact cache hit rates from the serial cached pipeline, the
-//! correctness gates, and a counters-only Prometheus export
-//! (`scripts/check.sh` diffs it against `scripts/goldens/compile.txt`).
-//! Wall-clock timings and the speedup gates go to **stderr**: they depend
-//! on the machine. The line `compile speedup gates: PASS` is printed to
-//! stderr when every enforced gate holds; `check.sh` greps for it. The
-//! parallel-vs-serial gate is only enforced when at least two workers are
-//! available.
+//! The report text is byte-deterministic — corpus shape,
+//! candidate/compiled/skipped counts, exact cache hit rates from the
+//! serial cached pipeline, the correctness gates, and a counters-only
+//! Prometheus export (`repro check` diffs it against
+//! `scripts/goldens/compile.txt`). Wall-clock timings are the report's
+//! wall lines, and the speedup and verify-overhead gates are wall gates:
+//! they depend on the machine. The parallel-vs-serial gate is only
+//! enforced when at least two workers are available.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -30,7 +29,7 @@ use std::time::Instant;
 
 use configerator::{CompileOptions, ConfigeratorService};
 
-use crate::Scale;
+use crate::{verdict, Gate, Report, Scale};
 
 /// Shared medium modules; every entry imports two of them.
 const MODULES: usize = 8;
@@ -183,13 +182,10 @@ pub(crate) fn counters_only(export: &str) -> String {
     out
 }
 
-/// Runs the compile benchmark; returns the deterministic report (stdout)
-/// and prints timings plus speedup-gate verdicts to stderr.
-pub fn compile(scale: Scale) -> String {
-    let entries = match scale {
-        Scale::Small => 1000,
-        Scale::Full => 2000,
-    };
+/// Runs the compile benchmark: the deterministic report, its timings, and
+/// its correctness and speedup gates.
+pub fn compile(scale: Scale) -> Report {
+    let entries = scale.pick(1000, 2000);
     let seed_tree = corpus(entries, 0);
     let hot_dependents = entries / HOT_FANIN;
 
@@ -249,7 +245,7 @@ pub fn compile(scale: Scale) -> String {
             .iter()
             .all(|n| fresh.artifact(n).unwrap().json == fast.artifact(n).unwrap().json);
 
-    // ---- deterministic report (stdout, golden-diffed) ----
+    // ---- deterministic report (golden-diffed) ----
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -288,53 +284,47 @@ pub fn compile(scale: Scale) -> String {
         rate(warm.parse_hits, warm.parse_misses)
     );
     let _ = writeln!(out);
-    let _ = writeln!(
-        out,
-        "ripple gate: warm-incremental recompiled {} of {} predicted dependents: {}",
-        rep_warm_fast.recompiled_entries.len(),
-        predicted.len(),
-        if ripple_ok { "PASS" } else { "FAIL" }
-    );
-    let _ = writeln!(
-        out,
-        "no-op skip gate: {} candidates, {} skipped: {}",
-        rep_noop_fast.stats.candidates,
-        rep_noop_fast.stats.skipped,
-        if rep_noop_fast.stats.compiled == 0 {
-            "PASS"
-        } else {
-            "FAIL"
-        }
-    );
-    let _ = writeln!(
-        out,
-        "byte-identity gate: {} artifacts identical to from-scratch rebuild: {}",
-        fast.config_names().len(),
-        if byte_identical { "PASS" } else { "FAIL" }
-    );
+    let mut gates = vec![
+        Gate::new(
+            "ripple",
+            ripple_ok,
+            format!(
+                "warm-incremental recompiled {} of {} predicted dependents",
+                rep_warm_fast.recompiled_entries.len(),
+                predicted.len()
+            ),
+        ),
+        Gate::new(
+            "no-op skip",
+            rep_noop_fast.stats.compiled == 0,
+            format!(
+                "{} candidates, {} skipped",
+                rep_noop_fast.stats.candidates, rep_noop_fast.stats.skipped
+            ),
+        ),
+        Gate::new(
+            "byte-identity",
+            byte_identical,
+            format!(
+                "{} artifacts identical to from-scratch rebuild",
+                fast.config_names().len()
+            ),
+        ),
+    ];
+    for g in &gates {
+        let _ = writeln!(out, "{} gate: {}: {}", g.name, g.detail, verdict(g.holds));
+    }
     let _ = writeln!(out);
     let _ = writeln!(out, "-- pipeline counters (serial cached pipeline) --");
     out.push_str(&counters_only(&cached.metrics().export_prometheus()));
 
-    // ---- machine-dependent timings + speedup gates (stderr) ----
+    // ---- machine-dependent timings + speedup gates ----
     let workers = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1)
         .min(8);
     let parallel_speedup = t_cold_legacy / t_cold_fast.max(1e-9);
     let warm_speedup = t_warm_legacy / t_warm_fast.max(1e-9);
-    eprintln!(
-        "cold compile:   legacy {:.1} ms | serial+cache {:.1} ms | fast({workers}w) {:.1} ms  ({parallel_speedup:.1}x)",
-        t_cold_legacy * 1e3,
-        t_cold_cached * 1e3,
-        t_cold_fast * 1e3
-    );
-    eprintln!(
-        "warm hot-edit:  legacy {:.1} ms | fast {:.1} ms  ({warm_speedup:.1}x, ripple {})",
-        t_warm_legacy * 1e3,
-        t_warm_fast * 1e3,
-        predicted.len()
-    );
     // Verify-pass overhead: the static verifier runs inside plan() on the
     // warm hot-edit commit, and the content-addressed facts cache must
     // keep it cheap next to the compile work it stands in front of. That
@@ -345,46 +335,48 @@ pub fn compile(scale: Scale) -> String {
     // when this gate was re-based.
     let verify_ms = rep_warm_fast.stats.verify_us as f64 / 1e3;
     let verify_share = 100.0 * (verify_ms / 1e3) / t_warm_legacy.max(1e-9);
-    eprintln!(
-        "verify pass:    warm {verify_ms:.2} ms; fast commit {:.1} ms, legacy ripple {:.1} ms ({verify_share:.2}% of legacy ripple)",
-        t_warm_fast * 1e3,
-        t_warm_legacy * 1e3
-    );
-    let verify_ok = verify_share < VERIFY_GATE_PCT;
-    eprintln!(
-        "gate: verify pass < {VERIFY_GATE_PCT:.0}% of legacy serial ripple recompile: {}",
-        if verify_ok { "PASS" } else { "FAIL" }
-    );
-    let warm_ok = warm_speedup >= WARM_GATE;
-    let parallel_ok = workers < 2 || parallel_speedup >= PARALLEL_GATE;
-    eprintln!(
-        "gate: warm-incremental >= {WARM_GATE:.0}x legacy ripple recompile: {}",
-        if warm_ok { "PASS" } else { "FAIL" }
-    );
-    if workers < 2 {
-        eprintln!(
-            "gate: parallel cold >= {PARALLEL_GATE:.0}x serial: SKIPPED (1 worker available)"
-        );
-    } else {
-        eprintln!(
-            "gate: parallel cold >= {PARALLEL_GATE:.0}x serial: {}",
-            if parallel_speedup >= PARALLEL_GATE {
-                "PASS"
-            } else {
-                "FAIL"
-            }
-        );
+    let wall = vec![
+        format!(
+            "cold compile:   legacy {:.1} ms | serial+cache {:.1} ms | fast({workers}w) {:.1} ms  ({parallel_speedup:.1}x)",
+            t_cold_legacy * 1e3,
+            t_cold_cached * 1e3,
+            t_cold_fast * 1e3
+        ),
+        format!(
+            "warm hot-edit:  legacy {:.1} ms | fast {:.1} ms  ({warm_speedup:.1}x, ripple {})",
+            t_warm_legacy * 1e3,
+            t_warm_fast * 1e3,
+            predicted.len()
+        ),
+        format!(
+            "verify pass:    warm {verify_ms:.2} ms; fast commit {:.1} ms, legacy ripple {:.1} ms ({verify_share:.2}% of legacy ripple)",
+            t_warm_fast * 1e3,
+            t_warm_legacy * 1e3
+        ),
+    ];
+    gates.extend([
+        Gate::wall(
+            "verify overhead",
+            verify_share < VERIFY_GATE_PCT,
+            format!("{verify_share:.2}% < {VERIFY_GATE_PCT:.0}% of legacy serial ripple recompile"),
+        ),
+        Gate::wall(
+            "warm-incremental",
+            warm_speedup >= WARM_GATE,
+            format!("{warm_speedup:.1}x >= {WARM_GATE:.0}x legacy ripple recompile"),
+        ),
+        // Enforced only where there is parallelism to measure.
+        Gate::wall(
+            "parallel cold",
+            workers < 2 || parallel_speedup >= PARALLEL_GATE,
+            format!("{parallel_speedup:.1}x >= {PARALLEL_GATE:.0}x serial on {workers} workers"),
+        ),
+    ]);
+    Report {
+        text: out,
+        wall,
+        gates,
     }
-    if warm_ok && parallel_ok && ripple_ok && byte_identical && verify_ok {
-        eprintln!("compile speedup gates: PASS");
-    } else {
-        eprintln!("compile speedup gates: FAIL");
-    }
-    eprintln!(
-        "verify overhead gate: {}",
-        if verify_ok { "PASS" } else { "FAIL" }
-    );
-    out
 }
 
 #[cfg(test)]
@@ -394,8 +386,8 @@ mod tests {
     #[test]
     fn corpus_compiles_and_gates_hold_at_small_size() {
         // A miniature corpus exercises the full report path quickly; the
-        // deterministic gates must read PASS (timing gates are stderr-only
-        // and not asserted here — debug builds on one core are too noisy).
+        // deterministic gates must read PASS (wall gates are not
+        // asserted here — debug builds on one core are too noisy).
         let mut legacy = ConfigeratorService::with_options(CompileOptions::legacy());
         let mut fast = ConfigeratorService::new();
         let tree = corpus(40, 0);

@@ -21,19 +21,19 @@
 //! 24 s replay). Propagation delays are *virtual* time: deterministic per
 //! seed and byte-stable across queue implementations, machines, and runs.
 //!
-//! Every replay runs with the engine's self-profiler on. `fleet --check`
+//! Every replay runs with the engine's self-profiler on. `fleet_check`
 //! prints only deterministic fields for the 1k, 5k, and 100k sizes (the
 //! middle sizes add wall time, not coverage), followed by the 1k fleet's
 //! busiest actors and folded stacks by event count. The live mode runs all
 //! five sizes, reports wall-clock throughput with each size's
 //! handler/engine split and per-subsystem wall shares, rewrites
-//! `BENCH_simnet.json`, and emits two gates on stderr: the file's schema
-//! check and the scaling gate, which divides events/s at 100k by events/s
-//! at 1k from the same run (see [`SCALING_FLOOR`]).
+//! `BENCH_simnet.json`, and returns its gates: the file was written, it
+//! passes the schema check, and the scaling gate, which divides events/s
+//! at 100k by events/s at 1k from the same run (see [`SCALING_FLOOR`]).
 //!
-//! `fleet --mobile <clients>` swaps one proxy per cluster of the 1k fleet
+//! `fleet_mobile` swaps one proxy per cluster of the 1k fleet
 //! for an aggregated MobileConfig population cohort
-//! (`mobileconfig::population`): the requested client count splits across
+//! (`mobileconfig::population`): a million clients split across
 //! the clusters, each cohort watches its cluster observer like a proxy and
 //! models its clients' Poisson poll arrivals analytically, and the report
 //! gives per-cohort staleness percentiles in modeled minutes.
@@ -43,19 +43,18 @@ use std::time::Instant;
 
 use bytes::Bytes;
 use gatekeeper::experiment::ParamValue;
-use gatekeeper::project::Project;
-use gatekeeper::runtime::Runtime;
 use mobileconfig::population::{
     cohort_metric, PopulationActor, PopulationCfg, COHORT_OBSERVATIONS, COHORT_POLLS,
     COHORT_STALENESS_S,
 };
-use mobileconfig::{Binding, FieldType, MobileConfigServer, MobileSchema, TranslationLayer};
+use mobileconfig::{MobileConfigServer, MobileSchema};
 use simnet::prelude::*;
 use workload::commits::CommitProcess;
 use zeus::deploy::{DeployConfig, ZeusDeployment};
 use zeus::metrics::{PROPAGATION_S, PROXY_UPDATES};
 
 use crate::bench_json::{self, FleetRow};
+use crate::{Gate, Report};
 
 /// Config paths the diurnal workload writes and every proxy subscribes to.
 const PATHS: usize = 4;
@@ -220,10 +219,9 @@ fn profile_report(out: &mut String, r: &FleetResult) {
     );
 }
 
-/// The one wall-clock gate, as its stderr line (see [`SCALING_FLOOR`]). A
-/// run missing either tier fails: a gate that was not evaluated must not
-/// read as passed.
-fn scaling_gate(rows: &[FleetRow]) -> String {
+/// The one wall-clock gate (see [`SCALING_FLOOR`]). A run missing either
+/// tier fails: a gate that was not evaluated must not read as passed.
+fn scaling_gate(rows: &[FleetRow]) -> Gate {
     let (small, large) = SCALING_TIERS;
     let eps = |tier: &str| {
         rows.iter()
@@ -233,47 +231,51 @@ fn scaling_gate(rows: &[FleetRow]) -> String {
     match (eps(small), eps(large)) {
         (Some(s), Some(l)) if s > 0.0 => {
             let ratio = l / s;
-            let verdict = if ratio >= SCALING_FLOOR {
-                "PASS"
-            } else {
-                "FAIL"
-            };
-            format!(
-                "fleet scaling gate: {verdict} ({large}/{small} events/s = {l:.0}/{s:.0} = {ratio:.3}, floor {SCALING_FLOOR:.2})"
+            Gate::wall(
+                "fleet scaling",
+                ratio >= SCALING_FLOOR,
+                format!("{large}/{small} events/s = {l:.0}/{s:.0} = {ratio:.3}, floor {SCALING_FLOOR:.2}"),
             )
         }
-        _ => format!("fleet scaling gate: FAIL (the run lacks the {small} or {large} fleet)"),
+        _ => Gate::wall(
+            "fleet scaling",
+            false,
+            format!("the run lacks the {small} or {large} fleet"),
+        ),
     }
 }
 
-/// Runs the paper-scale replay. With `check` set, runs the 1k, 5k, and
-/// 100k sizes and prints only deterministic fields (golden-gated by
-/// `scripts/check.sh`); otherwise runs all five sizes, prints the live
-/// wall-clock report, rewrites `BENCH_simnet.json`, and emits the schema
-/// and scaling gates on stderr. Exits the process with status 1 if the
-/// file cannot be written.
-pub fn fleet(check: bool) -> String {
+/// `repro fleet_check`: the 1k, 5k, and 100k sizes, printing only
+/// deterministic fields (golden-gated by `repro check`).
+pub fn fleet_check() -> String {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "paper-scale fleet replay — virtual (deterministic) fields only\n\
+         (diurnal write day over the zeus tree; propagation delays are\n\
+         simulated time and replay byte-identically per seed)\n"
+    );
+    let results: Vec<FleetResult> = FLEETS
+        .iter()
+        .filter(|&&(name, ..)| name != "20k" && name != "50k")
+        .map(|&(name, r, c, s)| run_fleet(name, r, c, s))
+        .collect();
+    for r in &results {
+        virtual_report(&mut out, r);
+    }
+    profile_report(&mut out, &results[0]);
+    out
+}
+
+/// `repro fleet`: runs all five sizes, prints the live wall-clock report,
+/// and rewrites `BENCH_simnet.json`. Its gates: the file was written, it
+/// passes the schema check, and the scaling ratio reaches its floor.
+pub fn fleet() -> Report {
     let mut out = String::new();
     let results: Vec<FleetResult> = FLEETS
         .iter()
-        .filter(|&&(name, ..)| !(check && (name == "20k" || name == "50k")))
         .map(|&(name, r, c, s)| run_fleet(name, r, c, s))
         .collect();
-
-    if check {
-        let _ = writeln!(
-            out,
-            "paper-scale fleet replay — virtual (deterministic) fields only\n\
-             (diurnal write day over the zeus tree; propagation delays are\n\
-             simulated time and replay byte-identically per seed)\n"
-        );
-        for r in &results {
-            virtual_report(&mut out, r);
-        }
-        profile_report(&mut out, &results[0]);
-        return out;
-    }
-
     let _ = writeln!(
         out,
         "paper-scale fleet replay — diurnal commit day over the zeus tree\n\
@@ -303,59 +305,43 @@ pub fn fleet(check: bool) -> String {
 
     let rows: Vec<FleetRow> = results.into_iter().map(|r| r.row).collect();
     let json = bench_json::render(&rows);
-    if let Err(e) = std::fs::write(bench_json::PATH, &json) {
-        // The file on disk is stale now; nothing below may pass for it.
-        eprintln!("fleet: failed to write {}: {e}", bench_json::PATH);
-        std::process::exit(1);
+    // A file that was not written is stale, and its gate fails.
+    let written = std::fs::write(bench_json::PATH, &json)
+        .map(|()| format!("wrote {}", bench_json::PATH))
+        .map_err(|e| format!("{}: {e}", bench_json::PATH));
+    let schema = bench_json::validate(&json);
+    Report {
+        text: out,
+        gates: vec![
+            Gate::new(
+                "fleet write",
+                written.is_ok(),
+                written.clone().err().unwrap_or_default(),
+            ),
+            Gate::new(
+                "fleet schema",
+                schema.is_ok(),
+                schema.err().unwrap_or_default(),
+            ),
+            scaling_gate(&rows),
+        ],
+        wall: written.into_iter().collect(),
     }
-    eprintln!("wrote {}", bench_json::PATH);
-    match bench_json::validate(&json) {
-        Ok(()) => eprintln!("fleet schema: OK"),
-        Err(e) => eprintln!("fleet schema: FAIL ({e})"),
-    }
-    eprintln!("{}", scaling_gate(&rows));
-    out
 }
 
 /// The MobileConfig stack each cohort resolves through: the same schema +
 /// translation bindings as `repro mobile`, so the population path
 /// exercises real Gatekeeper/experiment/constant lookups.
 fn cohort_server() -> (MobileConfigServer, MobileSchema) {
-    let schema = MobileSchema::new(
-        "MainApp",
-        &[
-            ("feature_x", FieldType::Bool),
-            ("feed_batch", FieldType::Int),
-            ("upload_quality", FieldType::Float),
-        ],
-    );
-    let mut t = TranslationLayer::new();
-    t.bind(
-        "MainApp",
-        "feature_x",
-        Binding::Gatekeeper {
-            project: "X".into(),
-        },
-    );
-    t.bind(
-        "MainApp",
-        "feed_batch",
-        Binding::Constant(ParamValue::Int(20)),
-    );
-    t.bind(
-        "MainApp",
-        "upload_quality",
-        Binding::Constant(ParamValue::Float(0.8)),
-    );
-    let mut gk = Runtime::new(laser::Laser::new(16));
-    gk.update_project(Project::fraction_launch("X", 0.5));
-    let mut server = MobileConfigServer::new(t, gk);
-    server.register_schema(schema.clone());
-    (server, schema)
+    let constants = [
+        ("feed_batch", ParamValue::Int(20)),
+        ("upload_quality", ParamValue::Float(0.8)),
+    ];
+    crate::mobile::server("MainApp", "feature_x", &constants, 0.5)
 }
 
-/// `repro fleet --mobile <clients>`: the 1k fleet with one aggregated
-/// MobileConfig population cohort per cluster. The requested client count
+/// `repro fleet_mobile`: the 1k fleet with one aggregated MobileConfig
+/// population cohort per cluster. The requested client count
 /// splits evenly across clusters (remainder to the first ones); each
 /// cohort replaces its cluster's last proxy, watches the cluster observer,
 /// and models its clients analytically (no per-device actors). The report
@@ -495,13 +481,13 @@ mod tests {
             ra.contains("sim;zeus.ensemble;deliver"),
             "folded stacks:\n{ra}"
         );
-        // Wall-clock leak audit: the --check surface is built from
+        // Wall-clock leak audit: `fleet_check` is built from
         // `virtual_report` and `profile_report` only, so nothing
         // wall-clock may appear in it.
         for leak in ["wall_ms", "events/sec", "wall", "share"] {
             assert!(
                 !ra.contains(leak),
-                "wall-clock field {leak:?} leaked into --check"
+                "wall-clock field {leak:?} leaked into fleet_check"
             );
         }
         assert_eq!(a.row.nodes, 1008);
@@ -538,18 +524,21 @@ mod tests {
             row("5k", 2.0e6),
             row("100k", small * SCALING_FLOOR * 1.5),
         ]);
-        assert!(pass.starts_with("fleet scaling gate: PASS"), "{pass}");
+        assert!(pass.holds && pass.wall, "{pass}");
         let fail = scaling_gate(&[row("1k", small), row("100k", small * SCALING_FLOOR * 0.5)]);
-        assert!(fail.starts_with("fleet scaling gate: FAIL"), "{fail}");
+        assert!(!fail.holds, "{fail}");
         let missing = scaling_gate(&[row("1k", small), row("5k", 2.0e6)]);
-        assert!(missing.starts_with("fleet scaling gate: FAIL"), "{missing}");
+        assert!(
+            !missing.holds && missing.detail.contains("lacks"),
+            "{missing}"
+        );
     }
 
     #[test]
     fn mobile_cohorts_are_deterministic_and_observe_every_write() {
         let a = fleet_mobile(120_000);
         let b = fleet_mobile(120_000);
-        assert_eq!(a, b, "--mobile report must be byte-identical");
+        assert_eq!(a, b, "fleet_mobile report must be byte-identical");
         assert!(a.contains("cohort=c00 clients=10000"));
         assert!(
             a.contains("all cohorts (120000 clients)"),

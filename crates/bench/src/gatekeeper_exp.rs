@@ -186,36 +186,14 @@ pub fn rollout() -> String {
             c
         })
         .collect();
+    let employees = || Rule::new(vec![RestraintSpec::of(RestraintKind::Employee)], 1.0);
+    let everyone = |p| Rule::new(vec![RestraintSpec::of(RestraintKind::Always)], p);
     let mut previous: Vec<u64> = Vec::new();
     for (label, rules) in [
-        (
-            "employees only",
-            vec![Rule::new(
-                vec![RestraintSpec::of(RestraintKind::Employee)],
-                1.0,
-            )],
-        ),
-        (
-            "employees + 1%",
-            vec![
-                Rule::new(vec![RestraintSpec::of(RestraintKind::Employee)], 1.0),
-                Rule::new(vec![RestraintSpec::of(RestraintKind::Always)], 0.01),
-            ],
-        ),
-        (
-            "employees + 10%",
-            vec![
-                Rule::new(vec![RestraintSpec::of(RestraintKind::Employee)], 1.0),
-                Rule::new(vec![RestraintSpec::of(RestraintKind::Always)], 0.10),
-            ],
-        ),
-        (
-            "global 100%",
-            vec![Rule::new(
-                vec![RestraintSpec::of(RestraintKind::Always)],
-                1.0,
-            )],
-        ),
+        ("employees only", vec![employees()]),
+        ("employees + 1%", vec![employees(), everyone(0.01)]),
+        ("employees + 10%", vec![employees(), everyone(0.10)]),
+        ("global 100%", vec![everyone(1.0)]),
     ] {
         rt.update_project(Project::new("ProjectX", rules));
         let passing: Vec<u64> = users

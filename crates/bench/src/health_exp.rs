@@ -14,13 +14,14 @@
 //!
 //! Every number here derives from virtual time and seeded randomness, so
 //! the report is byte-deterministic per seed and golden-gated by
-//! `scripts/check.sh` (two chaos seeds are included in the golden).
+//! `repro check` (two chaos seeds are included in the golden).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use bytes::Bytes;
 use configerator::service::ConfigeratorService;
+use gatekeeper::experiment::ParamValue;
 use laser::deploy::{LaserDeployConfig, LaserDeployment};
 use laser::feed;
 use simnet::chaos::{ChaosConfig, ChaosPlan};
@@ -217,30 +218,8 @@ fn run_seed(seed: u64, out: &mut String) {
     // population between publish intervals and bridge the cumulative
     // ServerStats in as deltas (`ServerStats::publish_ods`), one snapshot
     // per interval.
-    let schema = mobileconfig::MobileSchema::new(
-        "HealthApp",
-        &[
-            ("feature_x", mobileconfig::FieldType::Bool),
-            ("feed_batch", mobileconfig::FieldType::Int),
-        ],
-    );
-    let mut tl = mobileconfig::TranslationLayer::new();
-    tl.bind(
-        "HealthApp",
-        "feature_x",
-        mobileconfig::Binding::Gatekeeper {
-            project: "X".into(),
-        },
-    );
-    tl.bind(
-        "HealthApp",
-        "feed_batch",
-        mobileconfig::Binding::Constant(gatekeeper::experiment::ParamValue::Int(20)),
-    );
-    let mut gk = gatekeeper::runtime::Runtime::new(laser::Laser::new(16));
-    gk.update_project(gatekeeper::project::Project::fraction_launch("X", 0.0));
-    let mut mc_server = mobileconfig::MobileConfigServer::new(tl, gk);
-    mc_server.register_schema(schema.clone());
+    let constants = [("feed_batch", ParamValue::Int(20))];
+    let (mut mc_server, schema) = crate::mobile::server("HealthApp", "feature_x", &constants, 0.0);
     let mut devices: Vec<mobileconfig::MobileConfigClient> = (0..6)
         .map(|i| {
             mobileconfig::MobileConfigClient::new(

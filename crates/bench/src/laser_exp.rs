@@ -17,7 +17,8 @@
 //! (hedging and the stale-cache fallback absorb the outage). The chaos
 //! section re-checks both under a seeded random fault schedule that
 //! includes one-way partitions. Output is byte-deterministic per seed
-//! (`scripts/check.sh` diffs it against a golden).
+//! (`repro check` diffs it against a golden), and each chaos invariant
+//! is a gate of the report.
 
 use gatekeeper::prelude::{Project, RestraintKind, RestraintSpec, Rule, Runtime, UserContext};
 use laser::client::{ClientConfig, Completion, LaserClient, Served, TAG_BASE};
@@ -30,6 +31,8 @@ use packagevessel::storage::{PeerPolicy, StorageActor};
 use simnet::chaos::{run_plan, ChaosConfig, ChaosPlan, Invariant};
 use simnet::prelude::*;
 use zeus::deploy::{DeployConfig, ZeusDeployment};
+
+use crate::{Gate, Report};
 
 /// Per-frontend query rates swept (queries per second).
 const QPS: &[u64] = &[40, 160];
@@ -475,7 +478,7 @@ fn fmt_ms(p: Option<f64>) -> String {
 /// The chaos section: a seeded random fault schedule (crashes of shard
 /// replicas, symmetric and one-way partitions) with the generation-mix and
 /// convergence invariants checked at every quiesce point.
-fn chaos_section(seed: u64) -> String {
+fn chaos_section(seed: u64) -> (String, Vec<Gate>) {
     struct GenerationAtomicity {
         frontends: Vec<NodeId>,
     }
@@ -629,11 +632,11 @@ fn chaos_section(seed: u64) -> String {
         }
         out.push('\n');
     }
-    out
+    (out, report.verdicts.iter().map(Gate::from).collect())
 }
 
-/// Runs the sweep and renders the report.
-pub fn laser(seed: u64) -> String {
+/// Runs the sweep and renders the report; each chaos invariant is a gate.
+pub fn laser(seed: u64) -> Report {
     let mut out = format!(
         "laser serving tier — seed {seed}: hedged vs unhedged reads under faults\n\
          fleet: 3 regions × 2 clusters × 6 servers; 5-node Zeus ensemble, 1 observer/cluster\n\
@@ -705,8 +708,9 @@ pub fn laser(seed: u64) -> String {
     out.push('\n');
     out.push_str(&summary);
     out.push('\n');
-    out.push_str(&chaos_section(seed));
-    out
+    let (chaos, gates) = chaos_section(seed);
+    out.push_str(&chaos);
+    Report::new(out, gates)
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@
 //! total bytes-on-wire, frames, retransmitted (follower, write) pairs, the
 //! commit→proxy p50/p99, and how many sub-runs converged (every proxy
 //! holding the final bytes at the horizon). The output is
-//! byte-deterministic per seed (`scripts/check.sh` diffs it against a
+//! byte-deterministic per seed (`repro check` diffs it against a
 //! golden and against a second run).
 
 use simnet::prelude::*;

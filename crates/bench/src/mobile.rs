@@ -9,44 +9,50 @@ use mobileconfig::{
     Binding, FieldType, MobileConfigClient, MobileConfigServer, MobileSchema, TranslationLayer,
 };
 
-/// §5 ablation: hash-based delta sync vs resending values on every poll.
-pub fn bandwidth(clients: usize, polls_per_client: usize, change_every: usize) -> String {
-    let schema = MobileSchema::new(
-        "MainApp",
-        &[
-            ("feature_x", FieldType::Bool),
-            ("feed_batch", FieldType::Int),
-            ("greeting", FieldType::Str),
-            ("upload_quality", FieldType::Float),
-        ],
-    );
+/// A MobileConfig server with the one schema `app`: a Bool field `gated`
+/// bound to Gatekeeper project `X` (launched to `launch` of users), then
+/// one field per constant, typed by its value. Returns the server and the
+/// schema.
+pub fn server(
+    app: &str,
+    gated: &str,
+    constants: &[(&str, ParamValue)],
+    launch: f64,
+) -> (MobileConfigServer, MobileSchema) {
+    let mut fields = vec![(gated, FieldType::Bool)];
     let mut t = TranslationLayer::new();
-    t.bind(
-        "MainApp",
-        "feature_x",
-        Binding::Gatekeeper {
-            project: "X".into(),
-        },
-    );
-    t.bind(
-        "MainApp",
-        "feed_batch",
-        Binding::Constant(ParamValue::Int(20)),
-    );
-    t.bind(
-        "MainApp",
-        "greeting",
-        Binding::Constant(ParamValue::Str("hello there".into())),
-    );
-    t.bind(
-        "MainApp",
-        "upload_quality",
-        Binding::Constant(ParamValue::Float(0.8)),
-    );
+    let project = "X".to_string();
+    t.bind(app, gated, Binding::Gatekeeper { project });
+    for (name, v) in constants {
+        let ty = match v {
+            ParamValue::Bool(_) => FieldType::Bool,
+            ParamValue::Int(_) => FieldType::Int,
+            ParamValue::Float(_) => FieldType::Float,
+            ParamValue::Str(_) => FieldType::Str,
+        };
+        fields.push((*name, ty));
+        t.bind(app, name, Binding::Constant(v.clone()));
+    }
+    let schema = MobileSchema::new(app, &fields);
     let mut gk = Runtime::new(laser::Laser::new(16));
-    gk.update_project(Project::fraction_launch("X", 0.0));
+    gk.update_project(Project::fraction_launch("X", launch));
     let mut server = MobileConfigServer::new(t, gk);
     server.register_schema(schema.clone());
+    (server, schema)
+}
+
+/// §5 ablation: hash-based delta sync vs resending values on every poll.
+pub fn bandwidth(clients: usize, polls_per_client: usize, change_every: usize) -> String {
+    let (mut server, schema) = server(
+        "MainApp",
+        "feature_x",
+        &[
+            ("feed_batch", ParamValue::Int(20)),
+            ("greeting", ParamValue::Str("hello there".into())),
+            ("upload_quality", ParamValue::Float(0.8)),
+        ],
+        0.0,
+    );
 
     let mut devices: Vec<MobileConfigClient> = (0..clients)
         .map(|i| MobileConfigClient::new(UserContext::with_id(i as u64), schema.clone()))

@@ -14,7 +14,7 @@
 //! with its node and sim-time delta from the mutator's commit, fan-out
 //! hops (follower appends, observer applies, proxy applies) aggregated
 //! with first/last deltas, and every retry/drop annotation tallied.
-//! `--chaos` overlays the same seeded fault plan used by `repro chaos`,
+//! `repro trace_chaos` overlays the seeded fault plan of `repro chaos`,
 //! which is where the waterfalls get interesting: retransmit storms,
 //! re-proposals after elections, and proxies that apply seconds late via
 //! observer failover.
@@ -30,8 +30,7 @@
 //!
 //! `repro metrics --seed <n>` runs the same pipeline and dumps every
 //! counter and HDR histogram in Prometheus text exposition format. The
-//! output is byte-deterministic per seed — `scripts/check.sh` diffs it
-//! against checked-in goldens.
+//! output is byte-deterministic per seed.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, VecDeque};

@@ -27,9 +27,8 @@
 //!
 //! Stdout is byte-deterministic (catch-rate table, a sample rejection
 //! with repair hints, the gates, a counters-only Prometheus export) and
-//! is golden-diffed by `scripts/check.sh` via `repro verify --check`.
-//! Wall-clock timing and the grep-able catch-rate gate verdict go to
-//! stderr.
+//! is golden-diffed by `repro check` via the `verify_check` entry, which
+//! omits the per-commit log. Wall-clock timing is a wall line.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -38,6 +37,7 @@ use std::time::Instant;
 use configerator::{CompileOptions, ConfigeratorService, ServiceError};
 
 use crate::compile_exp::counters_only;
+use crate::{verdict, Gate, Report};
 
 /// Entry configs in the corpus.
 const ENTRIES: usize = 40;
@@ -445,67 +445,62 @@ fn render(r: &Replay, deterministic: bool, check: bool) -> String {
     }
     let _ = writeln!(out);
     let _ = writeln!(out, "gates:");
-    let _ = writeln!(
-        out,
-        "  catch-rate gate (>= {:.0}% rejected pre-commit): {}",
-        CATCH_FLOOR * 100.0,
-        if rate / 100.0 >= CATCH_FLOOR {
-            "PASS"
-        } else {
-            "FAIL"
-        }
-    );
-    let _ = writeln!(
-        out,
-        "  zero-escape gate (every leak caught by the canary model): {}",
-        if r.total.escaped == 0 { "PASS" } else { "FAIL" }
-    );
-    let _ = writeln!(
-        out,
-        "  false-positive gate (clean edits never rejected): {}",
-        if r.false_positives == 0 {
-            "PASS"
-        } else {
-            "FAIL"
-        }
-    );
-    let _ = writeln!(
-        out,
-        "  determinism gate (two replays byte-identical): {}",
-        if deterministic { "PASS" } else { "FAIL" }
-    );
+    for g in gates(r, deterministic) {
+        let _ = writeln!(
+            out,
+            "  {} gate ({}): {}",
+            g.name,
+            g.detail,
+            verdict(g.holds)
+        );
+    }
     let _ = writeln!(out);
     let _ = writeln!(out, "-- pipeline counters (serial verify pipeline) --");
     out.push_str(&r.counters);
     out
 }
 
+/// The replay's four gates: the pre-commit catch-rate floor, no escapes,
+/// no false positives, and (from the caller's two replays) determinism.
+fn gates(r: &Replay, deterministic: bool) -> Vec<Gate> {
+    let rate = r.total.caught as f64 / r.total.seeded.max(1) as f64;
+    vec![
+        Gate::new(
+            "catch-rate",
+            rate >= CATCH_FLOOR,
+            format!(">= {:.0}% rejected pre-commit", CATCH_FLOOR * 100.0),
+        ),
+        Gate::new(
+            "zero-escape",
+            r.total.escaped == 0,
+            "every leak caught by the canary model",
+        ),
+        Gate::new(
+            "false-positive",
+            r.false_positives == 0,
+            "clean edits never rejected",
+        ),
+        Gate::new("determinism", deterministic, "two replays byte-identical"),
+    ]
+}
+
 /// Runs the seeded-bad replay twice (determinism is part of the report)
 /// and returns the deterministic report. `check` omits the per-commit
 /// log so the output matches the golden exactly.
-pub fn verify(check: bool) -> String {
+pub fn verify(check: bool) -> Report {
     let a = replay();
     let b = replay();
     let deterministic = render(&a, true, true) == render(&b, true, true);
-    let rate = 100.0 * a.total.caught as f64 / a.total.seeded.max(1) as f64;
-    eprintln!(
-        "verify replay: {} seeded-bad + {} clean commits, 2 runs in {:.1} ms",
-        a.total.seeded,
-        a.clean_probes,
-        (a.wall_s + b.wall_s) * 1e3
-    );
-    eprintln!(
-        "verify catch-rate gate: {} ({}/{} = {rate:.1}% >= {:.0}%)",
-        if rate / 100.0 >= CATCH_FLOOR && a.total.escaped == 0 && a.false_positives == 0 {
-            "PASS"
-        } else {
-            "FAIL"
-        },
-        a.total.caught,
-        a.total.seeded,
-        CATCH_FLOOR * 100.0
-    );
-    render(&a, deterministic, check)
+    Report {
+        text: render(&a, deterministic, check),
+        wall: vec![format!(
+            "verify replay: {} seeded-bad + {} clean commits, 2 runs in {:.1} ms",
+            a.total.seeded,
+            a.clean_probes,
+            (a.wall_s + b.wall_s) * 1e3
+        )],
+        gates: gates(&a, deterministic),
+    }
 }
 
 #[cfg(test)]
@@ -542,7 +537,7 @@ mod tests {
 
     #[test]
     fn check_report_is_byte_deterministic() {
-        assert_eq!(verify(true), verify(true));
+        assert_eq!(verify(true).text, verify(true).text);
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! The `repro` command line refuses what it does not understand: a typo
 //! must exit 2 before anything runs, not run some other experiment (or a
-//! long live sweep that rewrites `BENCH_simnet.json`) in its place.
+//! long live sweep that rewrites `BENCH_simnet.json`) in its place. The
+//! golden-pinned variants are entries of their own (`fleet_check`,
+//! `verify_check`, `metrics_chaos`, ...), so their old flags are errors.
 
 use std::process::Command;
 
@@ -21,7 +23,13 @@ fn usage_errors_exit_2() {
         &["fleet", "--chek"],
         &["fig7", "fig8"],
         &["laser", "--seed"],
-        &["fleet", "--mobile", "many"],
+        &["fleet", "--mobile", "1000000"],
+        &["fleet", "--check"],
+        &["verify", "--check"],
+        &["metrics", "--chaos"],
+        &["trace", "--chaos"],
+        &["fig7", "--bless"],
+        &["check", "--full"],
     ] {
         assert_eq!(exit_code(args), Some(2), "repro {}", args.join(" "));
     }

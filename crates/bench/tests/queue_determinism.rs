@@ -3,7 +3,7 @@
 //! The calendar queue, slab, and interner are pure engine substitutions:
 //! they must replay the exact `(at, seq)` dispatch order of the reference
 //! binary heap, and the profiler must stay a pure observer. Both claims
-//! are checked on real metric surfaces — the same ones `scripts/check.sh`
+//! are checked on real metric surfaces — the same ones `repro check`
 //! golden-gates — not on synthetic queues.
 
 use bytes::Bytes;

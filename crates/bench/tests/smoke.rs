@@ -3,9 +3,13 @@
 //! (fig13/fig14/packagevessel/partitioning) are exercised by `repro`
 //! itself and kept out of the test suite for time.
 
-use bench::{run_experiment, Scale, EXPERIMENTS};
+use bench::{run_experiment, Report, Scale, EXPERIMENTS};
 
 fn run(name: &str) -> String {
+    report(name).text
+}
+
+fn report(name: &str) -> Report {
     run_experiment(name, Scale::Small, 1).expect("known experiment")
 }
 
@@ -56,10 +60,12 @@ fn contention_and_canary() {
 
 #[test]
 fn canary_rollout_and_audit() {
-    let c = run("canary");
-    assert!(c.contains("overall: PASS"), "canary gates failed:\n{c}");
-    let a = run("audit");
-    assert!(a.contains("overall: PASS"), "audit gates failed:\n{a}");
+    for name in ["canary", "audit"] {
+        let r = report(name);
+        let overall: Vec<_> = r.gates.iter().filter(|g| g.name == "overall").collect();
+        assert_eq!(overall.len(), 1, "{name} gates: {:?}", r.gates);
+        assert!(r.passed(), "{name} gates failed: {:?}\n{}", r.gates, r.text);
+    }
 }
 
 #[test]

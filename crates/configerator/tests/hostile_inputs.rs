@@ -242,3 +242,16 @@ fn every_hostile_source_is_rejected_with_its_error_kind_on_a_2_mib_stack() {
         .join()
         .expect("no hostile source may panic");
 }
+
+#[test]
+fn a_sitevar_string_of_deeply_nested_brackets_is_stored_not_a_stack_overflow() {
+    // Type inference asks whether a string parses as JSON; 200,000 open
+    // brackets used to recurse once each in that parser and abort the
+    // process. Unparseable, the string is classified as a plain string.
+    let probe = std::thread::Builder::new().stack_size(2 << 20).spawn(|| {
+        let expr = format!("\"{}\"", "[".repeat(200_000));
+        let outcome = SitevarStore::new().set("hostile", &expr).expect("stored");
+        assert!(outcome.warnings.is_empty());
+    });
+    probe.expect("spawn").join().expect("no panic");
+}
